@@ -429,7 +429,7 @@ let analysis_equal (a : Sbi_index.Triage.analysis) (b : Sbi_core.Analysis.t) =
   && a.Sbi_index.Triage.elimination = b.Sbi_core.Analysis.elimination
 
 (* Sequential vs parallel elimination (snapshot prebuilt so the numbers
-   time the rescoring loop, not the one-time densification).  Returns
+   time the rescoring loop, not the one-time snapshot build).  Returns
    ((name, ns) entries, all_identical). *)
 let par_elimination_scaling ctx =
   let ds = synth_dataset ctx in
@@ -466,7 +466,7 @@ let par_elimination_scaling ctx =
             let idx, par_open_dt =
               time (fun () -> Sbi_index.Index.open_par ~pool ~dir:ctx.sy_idx_dir)
             in
-            let _, snap_dt = time (fun () -> Sbi_index.Index.snapshot ~pool idx) in
+            let _, snap_dt = time (fun () -> Sbi_index.Index.snapshot idx) in
             let res, dt = time (fun () -> Sbi_index.Triage.analyze ~pool idx) in
             check (Printf.sprintf "%d domains" domains) res;
             let speedup = seq_dt /. Float.max dt 1e-9 in
@@ -890,7 +890,7 @@ let par_check () =
           let seq_idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
           check
             (Printf.sprintf "topk (%d domains)" domains)
-            (Sbi_index.Triage.topk ~pool ~k:20 idx = Sbi_index.Triage.topk ~k:20 seq_idx);
+            (Sbi_index.Triage.topk ~k:20 idx = Sbi_index.Triage.topk ~k:20 seq_idx);
           List.iter
             (fun (discard, name) ->
               let par = Sbi_index.Triage.eliminate ~pool ~discard idx in
@@ -1239,6 +1239,30 @@ let warm_topk idx =
   in
   median samples
 
+(* What a query pays for the epoch bump an ingest causes: on the synthetic
+   corpus's index plus a 10,000-report live tail, each round appends one
+   report and then asks for the top 10, which must rebuild the snapshot.
+   Median over 100 rounds, append and top-k timed together. *)
+let topk_after_append ctx =
+  let idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
+  let n = Array.length ctx.sy_reports in
+  for i = 0 to 9_999 do
+    Sbi_index.Index.append idx ctx.sy_reports.(i mod n)
+  done;
+  ignore (Sbi_index.Triage.topk ~k:10 idx);
+  let samples =
+    Array.init 100 (fun i ->
+        let r = ctx.sy_reports.((10_000 + i) mod n) in
+        snd
+          (time (fun () ->
+               Sbi_index.Index.append idx r;
+               Sbi_index.Triage.topk ~k:10 idx)))
+  in
+  let dt = median samples in
+  Printf.printf "topk after append (%d-run index + %d-report tail, 100 rounds): median %.3f ms\n"
+    n (Sbi_index.Index.tail_count idx) (dt *. 1e3);
+  [ ("index:topk-after-append", dt *. 1e9) ]
+
 let run_scale ~runs =
   let log_dir = Filename.temp_dir "sbi_bench" ".scalelog" in
   let idx_dir = Filename.temp_dir "sbi_bench" ".scaleidx" in
@@ -1446,7 +1470,7 @@ let speedup_check () =
         ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
         (fun () ->
           let idx = Sbi_index.Index.open_par ~pool ~dir:ctx.sy_idx_dir in
-          ignore (Sbi_index.Index.snapshot ~pool idx);
+          ignore (Sbi_index.Index.snapshot idx);
           let res = Sbi_index.Triage.analyze ~pool idx in
           gate
             (Printf.sprintf "eliminate:d%d bit-identical to seq" domains)
@@ -1590,6 +1614,8 @@ let () =
   let ctx = build_synth_ctx ~nruns:synth_nruns in
   Printf.eprintf "[bench] timing index build and indexed vs rescan top-k...\n%!";
   print_index_scaling ctx;
+  Printf.eprintf "[bench] timing topk right after an append on a 10000-report tail...\n%!";
+  let append_entries = topk_after_append ctx in
   Printf.eprintf "[bench] timing sequential vs parallel elimination...\n%!";
   let par_entries, par_ok = par_elimination_scaling ctx in
   Printf.eprintf "[bench] timing server throughput at 1/2/4/8 domains...\n%!";
@@ -1614,7 +1640,7 @@ let () =
   write_bench_json
     ~path:(Option.value ~default:"BENCH_core.json" (Sys.getenv_opt "SBI_BENCH_JSON"))
     ~extra:
-      (par_entries @ serve_entries @ ingest_entries @ conn_entries @ fault_entries
+      (append_entries @ par_entries @ serve_entries @ ingest_entries @ conn_entries @ fault_entries
       @ obs_entries @ sbfl_entries @ scale_entries scale)
     results;
   print_tables ();

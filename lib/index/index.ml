@@ -23,7 +23,6 @@ type tail = {
   mutable t_reports : Report.t array;
   mutable t_len : int;
   t_agg : Aggregator.t;
-  mutable t_cache : Segment.t option;
 }
 
 type t = {
@@ -31,7 +30,7 @@ type t = {
   meta : Dataset.t;
   log_dir : string option;
   segments : Segref.t array;
-  seg_aggs : Aggregator.t array;
+  sealed : Aggregator.t;  (* merged aggregate of [segments], fixed at open *)
   cache : Segref.cache;
   stats : open_stats;
   tail : tail;
@@ -286,13 +285,7 @@ let build ?io ~log ~dir () =
 
 (* --- opening --- *)
 
-let empty_tail meta =
-  {
-    t_reports = [||];
-    t_len = 0;
-    t_agg = Aggregator.of_meta meta;
-    t_cache = None;
-  }
+let empty_tail meta = { t_reports = [||]; t_len = 0; t_agg = Aggregator.of_meta meta }
 
 (* Lazy-first open: a v2 segment contributes its footer (a few hundred
    bytes) and a footer-derived aggregate — postings stay on disk until a
@@ -344,13 +337,13 @@ let open_body pool ~dir =
     | None -> Array.map load entries
   in
   let segs = ref [] in
-  let aggs = ref [] in
+  let sealed = Aggregator.of_meta meta in
   let loaded = ref 0 and corrupt = ref 0 and records = ref 0 in
   Array.iter
     (function
       | Ok (sr, agg, nruns) ->
           segs := sr :: !segs;
-          aggs := agg :: !aggs;
+          Aggregator.merge_into ~into:sealed agg;
           incr loaded;
           records := !records + nruns
       | Error _ -> incr corrupt)
@@ -360,7 +353,7 @@ let open_body pool ~dir =
     meta;
     log_dir = man.man_log;
     segments = Array.of_list (List.rev !segs);
-    seg_aggs = Array.of_list (List.rev !aggs);
+    sealed;
     cache;
     stats = { segments_loaded = !loaded; segments_corrupt = !corrupt; records_loaded = !records };
     tail = empty_tail meta;
@@ -405,55 +398,31 @@ let append t r =
   tail.t_reports.(tail.t_len) <- r;
   tail.t_len <- tail.t_len + 1;
   Aggregator.observe tail.t_agg r;
-  tail.t_cache <- None;
   (* the write side of the epoch protocol: any snapshot built before this
      append is now stale (readers still holding it stay consistent) *)
   t.epoch <- t.epoch + 1
 
 let tail_count t = t.tail.t_len
 let tail_reports t = Array.sub t.tail.t_reports 0 t.tail.t_len
-
-let tail_segment t =
-  if t.tail.t_len = 0 then None
-  else
-    match t.tail.t_cache with
-    | Some seg -> Some seg
-    | None ->
-        let seg =
-          Segment.of_reports ~nsites:t.meta.Dataset.nsites ~npreds:t.meta.Dataset.npreds
-            ~source_shard:(-1) ~start_off:0 ~end_off:0
-            (Array.sub t.tail.t_reports 0 t.tail.t_len)
-        in
-        t.tail.t_cache <- Some seg;
-        Some seg
-
-let tail_aggregator t = t.tail.t_agg
 let epoch t = t.epoch
 
 (* --- epoch-versioned snapshot --- *)
 
-let merged_counts t =
-  let acc = Aggregator.of_meta t.meta in
-  Array.iter (fun a -> Aggregator.merge_into ~into:acc a) t.seg_aggs;
-  Aggregator.merge_into ~into:acc t.tail.t_agg;
-  Aggregator.to_counts acc
-
-let all_segrefs t =
-  match tail_segment t with
-  | Some tail -> Array.append t.segments [| Segref.of_segment ~file:"<tail>" tail |]
-  | None -> t.segments
-
-let snapshot ?pool t =
+let snapshot t =
   match t.snap with
   | Some s when Snapshot.epoch s = t.epoch -> s
   | _ ->
       (* only the rebuild branch is a span: cache hits are the common
-         case and must stay free of instrumentation *)
+         case and must stay free of instrumentation.  A rebuild costs
+         O(npreds + nsites) however long the tail: the sealed aggregate
+         is fixed at open, [append] keeps the tail's current, and the
+         tail view defers its bitmaps to the first kernel that needs them *)
       let s =
         Sbi_obs.Trace.with_span ~name:"index.snapshot"
           ~args:(Printf.sprintf "epoch=%d" t.epoch) (fun () ->
-            Snapshot.build ?pool ~epoch:t.epoch ~meta:t.meta ~counts:(merged_counts t)
-              (all_segrefs t))
+            Snapshot.build ~epoch:t.epoch ~meta:t.meta
+              ~counts:(Aggregator.to_counts (Aggregator.merge t.sealed t.tail.t_agg))
+              ~tail:(t.tail.t_reports, t.tail.t_len) t.segments)
       in
       t.snap <- Some s;
       s

@@ -54,7 +54,8 @@ type t = {
   meta : Sbi_runtime.Dataset.t;  (** site/predicate tables (zero runs) *)
   log_dir : string option;  (** source log recorded in the manifest *)
   segments : Segref.t array;  (** lazy (v2) or in-memory (v1) handles *)
-  seg_aggs : Sbi_ingest.Aggregator.t array;  (** parallel per-segment partial aggregates *)
+  sealed : Sbi_ingest.Aggregator.t;
+      (** merged aggregate of [segments], computed once at open *)
   cache : Segref.cache;  (** shared posting cache behind all disk segments *)
   stats : open_stats;
   tail : tail;
@@ -109,30 +110,25 @@ val tail_reports : t -> Sbi_runtime.Report.t array
     into a freshly opened index to carry the unindexed buffer across an
     index swap (the server's post-compaction reopen). *)
 
-val tail_segment : t -> Segment.t option
-(** The tail as an inverted segment (rebuilt lazily, cached between
-    appends); [None] when no live reports exist. *)
-
-val tail_aggregator : t -> Sbi_ingest.Aggregator.t
-
-val all_segrefs : t -> Segref.t array
-(** On-disk segments followed by the live tail's segment (when any live
-    reports exist) — the full current run population, in stable order. *)
-
 val epoch : t -> int
 (** Monotone version of the index's run population: starts at 0 on
     {!open_}, incremented by every accepted {!append}. *)
 
-val snapshot : ?pool:Sbi_par.Domain_pool.t -> t -> Snapshot.t
-(** The epoch-stamped {!Snapshot} of the current population, cached on
-    the index and invalidated only when {!append} bumps the epoch —
+val snapshot : t -> Snapshot.t
+(** The epoch-stamped {!Snapshot} of the current population: the
+    on-disk segments followed by the live tail as of this call.  Cached
+    on the index and invalidated only when {!append} bumps the epoch —
     repeated queries between ingests reuse the merged aggregate and the
-    warm posting cache.
+    warm posting cache.  A rebuild after an append costs
+    O(npreds + nsites), not a pass over the tail: its counts are the
+    sealed aggregate plus the tail aggregate {!append} maintains, and
+    the tail's bitmaps are encoded only when a bitmap kernel (affinity,
+    elimination, co-occurrence) first needs them, once per snapshot.
 
     Not linearizable on its own: concurrent callers must serialize
     [snapshot] against [append] (the server takes its write lock for
     both); the returned snapshot itself is immutable and safe to read
-    from any number of domains. *)
+    from any number of domains, and later appends never show up in it. *)
 
 val nruns : t -> int
 val num_failures : t -> int

@@ -94,11 +94,6 @@ let site_bits t i =
   | Mem m -> memo_bits m.m_site_r m.m_seg.Segment.site_obs t.sr_nruns i
   | Disk d -> disk_bits d `Site i
 
-let pred_posting t i =
-  match t.source with
-  | Mem m -> m.m_seg.Segment.pred_true.(i)
-  | Disk d -> Rbitmap.to_positions (disk_bits d `Pred i)
-
 let aggregator ~pred_site t =
   match t.source with
   | Mem m -> Segment.aggregator ~pred_site m.m_seg

@@ -32,10 +32,6 @@ val failing : t -> Bitset.t
 val pred_bits : t -> int -> Sbi_store.Rbitmap.t
 val site_bits : t -> int -> Sbi_store.Rbitmap.t
 
-val pred_posting : t -> int -> int array
-(** Sorted positions observing the predicate true — co-occurrence's
-    input.  Disk segments answer from the posting cache. *)
-
 val aggregator : pred_site:int array -> t -> Sbi_ingest.Aggregator.t
 (** The segment's §3.1 partial aggregate; footer statistics alone for
     disk segments (no posting reads).

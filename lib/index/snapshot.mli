@@ -2,17 +2,20 @@
     analysis engine.
 
     A snapshot carries the merged §3.1 aggregate plus one lazy {!view}
-    per segment reference, so every read-only query — top-k, predicate
-    detail, affinity, the full elimination loop — runs on popcount
-    kernels against the snapshot without touching the live index.
-    Views hand out compressed {!Sbi_store.Rbitmap} posting bitmaps on
-    demand ({!Segref} materializes them through its LRU cache), so
-    opening a snapshot of a million-run index allocates almost nothing
-    until a kernel actually needs a posting.  Writers (ingest) bump the
-    owning index's epoch; a snapshot whose [epoch] no longer matches is
-    simply stale, never wrong, and readers holding it keep computing on
-    a consistent corpus while the next snapshot is built — readers
-    never block ingest, ingest never blocks readers. *)
+    per segment reference and one for the live tail, so every read-only
+    query — top-k, predicate detail, affinity, the full elimination loop
+    — runs on popcount kernels against the snapshot without touching the
+    live index.  Views hand out compressed {!Sbi_store.Rbitmap} posting
+    bitmaps on demand ({!Segref} materializes them through its LRU
+    cache), so opening a snapshot of a million-run index allocates
+    almost nothing until a kernel actually needs a posting.  The tail
+    view encodes its bitmaps on first use, once per snapshot; queries
+    that read only the aggregate (top-k, predicate detail) never pay
+    for it.  Writers (ingest) bump the owning index's epoch; a snapshot
+    whose [epoch] no longer matches is simply stale, never wrong, and
+    readers holding it keep computing on a consistent corpus while the
+    next snapshot is built — readers never block ingest, ingest never
+    blocks readers. *)
 
 type view = {
   v_nruns : int;
@@ -30,15 +33,19 @@ type t = {
 }
 
 val build :
-  ?pool:Sbi_par.Domain_pool.t ->
   epoch:int ->
   meta:Sbi_runtime.Dataset.t ->
   counts:Sbi_core.Counts.t ->
+  tail:Sbi_runtime.Report.t array * int ->
   Segref.t array ->
   t
-(** Wrap [segrefs] in lazy views.  [counts] must be the merged aggregate
-    of exactly those segments.  [pool] is accepted for API stability;
-    there is no eager densification left to fan out. *)
+(** Wrap [segrefs] in lazy views, followed by a view of the first [n]
+    reports of [tail = (reports, n)] when [n > 0].  [counts] must be the
+    merged aggregate of exactly those runs.  The caller must guarantee
+    that [reports.(0 .. n - 1)] never change afterwards (an append-only
+    buffer captured under its writer's lock): the tail view reads them
+    when a bitmap kernel first needs them, safely from any domain, and
+    encodes them exactly once. *)
 
 val epoch : t -> int
 val counts : t -> Sbi_core.Counts.t

@@ -286,53 +286,36 @@ module Snap = struct
       failures_remaining = failing_count states;
       candidates_remaining = List.length candidates_left;
     }
+
+  let cooccurrence snap ~a ~b =
+    let npreds = snap.Snapshot.meta.Dataset.npreds in
+    if a < 0 || a >= npreds || b < 0 || b >= npreds then
+      invalid_arg "Triage.cooccurrence: predicate out of range";
+    Array.fold_left
+      (fun acc (v : Snapshot.view) ->
+        acc
+        + Rbitmap.inter_count (v.Snapshot.v_pred_bits a)
+            (Rbitmap.to_bitset (v.Snapshot.v_pred_bits b)))
+      0 snap.Snapshot.views
 end
 
 (* --- index-level wrappers (snapshot fetched/cached on the index) --- *)
 
-let counts ?pool idx = Snapshot.counts (Index.snapshot ?pool idx)
-let topk ?pool ?confidence ?k idx = Snap.topk ?confidence ?k (Index.snapshot ?pool idx)
+let counts idx = Snapshot.counts (Index.snapshot idx)
+let topk ?confidence ?k idx = Snap.topk ?confidence ?k (Index.snapshot idx)
+let topk_f ?confidence ?k ~formula idx = Snap.topk_f ?confidence ?k ~formula (Index.snapshot idx)
+let pred_detail ?confidence idx ~pred = Snap.pred_detail ?confidence (Index.snapshot idx) ~pred
 
-let topk_f ?pool ?confidence ?k ~formula idx =
-  Snap.topk_f ?confidence ?k ~formula (Index.snapshot ?pool idx)
-
-let pred_detail ?pool ?confidence idx ~pred =
-  Snap.pred_detail ?confidence (Index.snapshot ?pool idx) ~pred
-
-let pred_score ?pool ?confidence idx ~pred ~formula =
-  Snap.pred_score ?confidence (Index.snapshot ?pool idx) ~pred ~formula
+let pred_score ?confidence idx ~pred ~formula =
+  Snap.pred_score ?confidence (Index.snapshot idx) ~pred ~formula
 
 let affinity ?pool ?confidence idx ~selected ~others =
-  Snap.affinity ?pool ?confidence (Index.snapshot ?pool idx) ~selected ~others
+  Snap.affinity ?pool ?confidence (Index.snapshot idx) ~selected ~others
 
 let eliminate ?pool ?discard ?confidence ?max_selections ?candidates idx =
-  Snap.eliminate ?pool ?discard ?confidence ?max_selections ?candidates
-    (Index.snapshot ?pool idx)
+  Snap.eliminate ?pool ?discard ?confidence ?max_selections ?candidates (Index.snapshot idx)
 
-(* --- co-occurrence (posting-list intersection; no snapshot needed) --- *)
-
-let intersect_sorted a b =
-  let n = ref 0 and i = ref 0 and j = ref 0 in
-  let la = Array.length a and lb = Array.length b in
-  while !i < la && !j < lb do
-    let x = a.(!i) and y = b.(!j) in
-    if x = y then begin
-      incr n;
-      incr i;
-      incr j
-    end
-    else if x < y then incr i
-    else incr j
-  done;
-  !n
-
-let cooccurrence (idx : Index.t) ~a ~b =
-  let npreds = idx.Index.meta.Dataset.npreds in
-  if a < 0 || a >= npreds || b < 0 || b >= npreds then
-    invalid_arg "Triage.cooccurrence: predicate out of range";
-  Array.fold_left
-    (fun acc sr -> acc + intersect_sorted (Segref.pred_posting sr a) (Segref.pred_posting sr b))
-    0 (Index.all_segrefs idx)
+let cooccurrence idx ~a ~b = Snap.cooccurrence (Index.snapshot idx) ~a ~b
 
 (* --- full analysis --- *)
 
@@ -343,7 +326,7 @@ type analysis = {
 }
 
 let analyze ?pool ?discard ?(confidence = 0.95) ?max_selections (idx : Index.t) =
-  let snap = Index.snapshot ?pool idx in
+  let snap = Index.snapshot idx in
   let cts = Snapshot.counts snap in
   let retained = Prune.retained ~confidence cts in
   let elimination =

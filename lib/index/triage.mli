@@ -13,8 +13,9 @@
     {e equal} — same integers, hence bit-identical scores — to its
     full-dataset counterpart in {!Sbi_core.Analysis} (property-tested).
 
-    The [?pool] argument is used both to build a stale snapshot in
-    parallel and to fan the query itself.  Callers that already hold a
+    The [?pool] argument fans the bitmap queries (affinity,
+    elimination, analysis); the aggregate-only queries (counts, top-k,
+    predicate detail) take none.  Callers that already hold a
     consistent {!Snapshot.t} (e.g. the server's lock-free read path)
     should use the {!Snap} variants directly. *)
 
@@ -22,48 +23,38 @@ val rescore_grain : int
 (** Sequential cutoff / minimum chunk size for the per-predicate
     rescoring fan-out (flat index space [0, npreds + nsites)). *)
 
-val counts : ?pool:Sbi_par.Domain_pool.t -> Index.t -> Sbi_core.Counts.t
+val counts : Index.t -> Sbi_core.Counts.t
 (** Merged §3.1 counts over all segments + live tail; equals
     [Counts.compute] on the materialized corpus. *)
 
-val topk :
-  ?pool:Sbi_par.Domain_pool.t -> ?confidence:float -> ?k:int -> Index.t -> Sbi_core.Scores.t list
+val topk : ?confidence:float -> ?k:int -> Index.t -> Sbi_core.Scores.t list
 (** The [k] (default 10) highest-Importance predicates among those
     surviving Increase-CI pruning, best first — the ranking
     [cbi analyze-file --stream] prints, without rescanning the log. *)
 
 val topk_f :
-  ?pool:Sbi_par.Domain_pool.t ->
-  ?confidence:float ->
-  ?k:int ->
-  formula:Sbi_sbfl.Formula.t ->
-  Index.t ->
-  Sbi_sbfl.Ranking.entry list
+  ?confidence:float -> ?k:int -> formula:Sbi_sbfl.Formula.t -> Index.t -> Sbi_sbfl.Ranking.entry list
 (** {!topk} under an arbitrary SBFL formula: same Increase-CI pruned
     candidate set, ranked by the formula's score (desc, ties F desc then
     id asc) — computed off the snapshot's cached aggregate, never a
     rescan.  With [~formula:Sbi_sbfl.Formula.importance] the predicates
     and scores are bit-identical to {!topk}. *)
 
-val pred_detail :
-  ?pool:Sbi_par.Domain_pool.t -> ?confidence:float -> Index.t -> pred:int -> Sbi_core.Scores.t
+val pred_detail : ?confidence:float -> Index.t -> pred:int -> Sbi_core.Scores.t
 (** Full score card (F, S, Context, Increase + CI, Importance + CI).
     @raise Invalid_argument when [pred] is outside the tables. *)
 
 val pred_score :
-  ?pool:Sbi_par.Domain_pool.t ->
-  ?confidence:float ->
-  Index.t ->
-  pred:int ->
-  formula:Sbi_sbfl.Formula.t ->
-  float * Sbi_core.Scores.t
+  ?confidence:float -> Index.t -> pred:int -> formula:Sbi_sbfl.Formula.t -> float * Sbi_core.Scores.t
 (** The formula's score for one predicate alongside the full paper score
     card, both from the same snapshot aggregate.
     @raise Invalid_argument when [pred] is outside the tables. *)
 
 val cooccurrence : Index.t -> a:int -> b:int -> int
-(** Runs in which both predicates were observed true: posting-list
-    intersection, summed across segments (no snapshot needed). *)
+(** Runs in which both predicates were observed true: one bitmap
+    intersection count per snapshot view, summed (the live tail's view
+    shares the snapshot's lazily encoded bitmaps).
+    @raise Invalid_argument when [a] or [b] is outside the tables. *)
 
 val affinity :
   ?pool:Sbi_par.Domain_pool.t ->
@@ -146,4 +137,6 @@ module Snap : sig
     ?candidates:int list ->
     Snapshot.t ->
     Sbi_core.Eliminate.result
+
+  val cooccurrence : Snapshot.t -> a:int -> b:int -> int
 end

@@ -62,9 +62,10 @@ let add_error_hook h = error_hooks := h :: !error_hooks
 let run_task pool task =
   try task ()
   with e ->
-    Atomic.incr pool.errors;
     Printf.eprintf "sbi-par: task-error exn=%s\n%!" (Printexc.to_string e);
-    List.iter (fun h -> try h e with _ -> ()) !error_hooks
+    List.iter (fun h -> try h e with _ -> ()) !error_hooks;
+    (* counted last: whoever observes the count also sees the hooks' effects *)
+    Atomic.incr pool.errors
 
 let task_errors t = Atomic.get t.errors
 

@@ -120,6 +120,7 @@ type conn = {
   mutable c_busy : bool;  (* a request is on the worker pool *)
   mutable c_no_read : bool;  (* terminal: drain the write buffer, then close *)
   mutable c_close_after_write : bool;
+  mutable c_quit : bool;  (* peer sent [quit]: its hang-up is no fault *)
   mutable c_batch : batch_acc option;  (* inside an ingest-batch body *)
   mutable c_deadline : int;  (* monotonic ns; refreshed on any progress *)
 }
@@ -209,6 +210,10 @@ let close_conn g l c =
     g.cfg.on_close ()
   end
 
+(* A connection error after the peer said [quit] is its clean close
+   racing our [bye] (the client closes without reading it), not a fault. *)
+let conn_fault g c kind = if not c.c_quit then g.cfg.on_fault kind
+
 let enqueue_write c body =
   if c.c_wpos > 0 then begin
     c.c_wbuf <- String.sub c.c_wbuf c.c_wpos (String.length c.c_wbuf - c.c_wpos);
@@ -260,7 +265,7 @@ and conn_flush g l c =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         () (* kernel buffer full: wait for POLLOUT *)
     | exception Unix.Unix_error _ ->
-        g.cfg.on_fault "reset";
+        conn_fault g c "reset";
         close_conn g l c
 
 and conn_parse g l c =
@@ -319,7 +324,10 @@ and parse_lines g l c off =
           | None ->
               if line = "ingest-batch" then
                 c.c_batch <- Some { b_payloads = []; b_count = 0 }
-              else submit g l c (Line line));
+              else begin
+                if line = "quit" then c.c_quit <- true;
+                submit g l c (Line line)
+              end);
           parse_lines g l c off
         end
 
@@ -348,10 +356,10 @@ let read_step g l c =
       ->
         ()
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-        g.cfg.on_fault "reset";
+        conn_fault g c "reset";
         close_conn g l c
     | exception Unix.Unix_error _ ->
-        g.cfg.on_fault "error";
+        conn_fault g c "error";
         close_conn g l c
 
 let register g l fd =
@@ -367,6 +375,7 @@ let register g l fd =
       c_busy = false;
       c_no_read = false;
       c_close_after_write = false;
+      c_quit = false;
       c_batch = None;
       c_deadline = deadline_of g (Clock.now_ns ());
     }
@@ -466,7 +475,7 @@ let sweep g l now =
     in
     List.iter
       (fun c ->
-        g.cfg.on_fault (if wpending c > 0 then "send_timeout" else "timeout");
+        conn_fault g c (if wpending c > 0 then "send_timeout" else "timeout");
         close_conn g l c)
       expired
   end
@@ -529,7 +538,7 @@ let loop_iter g l =
                          reports it (EPIPE) *)
                     else if (not c.c_busy) && not c.c_no_read then read_step g l c
                     else if re land ev_error <> 0 then begin
-                      g.cfg.on_fault "reset";
+                      conn_fault g c "reset";
                       close_conn g l c
                     end
                 end)

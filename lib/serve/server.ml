@@ -59,7 +59,7 @@ let max_batch_lines = 65_536
 type t = {
   config : config;
   mutable index : Index.t;  (* swapped by the compaction thread, under [lock] *)
-  pool : Sbi_par.Domain_pool.t option;  (* fans snapshot builds and query rescoring *)
+  pool : Sbi_par.Domain_pool.t option;  (* fans query rescoring *)
   lock : Mutex.t;  (* guards index state and the ingest writer *)
   metrics : Metrics.t;
   listen_fds : Unix.file_descr list;
@@ -96,7 +96,7 @@ let locked m f =
    rescoring (affinity) fans across the domain pool.  [stats] and
    [ingest] still run under t.lock. *)
 
-let grab_snapshot t = locked t.lock (fun () -> Index.snapshot ?pool:t.pool t.index)
+let grab_snapshot t = locked t.lock (fun () -> Index.snapshot t.index)
 
 (* Sequential-cutoff fast path: fan a query across the pool only when its
    work estimate clears [config.par_grain].  A warm top-k or affinity
@@ -542,7 +542,10 @@ let handle_connection t ~conn_id fd =
            closed := true
        | `Line line ->
            if line = "quit" then begin
-             ignore (Wire.write_ok ~io fd ~header:"bye" ~lines:[]);
+             (* a peer that closes without reading [bye] is a clean close,
+                not a fault *)
+             (try ignore (Wire.write_ok ~io fd ~header:"bye" ~lines:[])
+              with Wire.Timeout | Unix.Unix_error _ | Sys_error _ -> ());
              closed := true
            end
            else begin

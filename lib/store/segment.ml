@@ -512,12 +512,18 @@ let read_posting ?io path ft kind i =
       let dir = match kind with `Site -> ft.ft_site_dir | `Pred -> ft.ft_pred_dir in
       if i < 0 || i >= Array.length dir then invalid_arg "Segment.read_posting";
       let off, blen, count = dir.(i) in
-      let s = Io.read_sub ?io path ~pos:off ~len:blen in
-      if String.length s < blen then raise (Corrupt "short read");
-      let pos = ref 0 in
-      let posting = read_deltas s pos blen ~count ~nruns:ft.ft_nruns in
-      if !pos <> blen then raise (Corrupt "posting byte length mismatch");
-      posting)
+      (* an empty posting is answered from the directory alone, with no
+         file I/O; one that still claims bytes is a length mismatch *)
+      if count = 0 then
+        if blen = 0 then [||] else raise (Corrupt "posting byte length mismatch")
+      else begin
+        let s = Io.read_sub ?io path ~pos:off ~len:blen in
+        if String.length s < blen then raise (Corrupt "short read");
+        let pos = ref 0 in
+        let posting = read_deltas s pos blen ~count ~nruns:ft.ft_nruns in
+        if !pos <> blen then raise (Corrupt "posting byte length mismatch");
+        posting
+      end)
 
 let read_run_ids ?io path ft =
   wrap_io (fun () ->

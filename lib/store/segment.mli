@@ -128,4 +128,9 @@ val footer_aggregator : pred_site:int array -> footer -> Sbi_ingest.Aggregator.t
 
 val read_failing : ?io:Sbi_fault.Io.t -> string -> footer -> Bitset.t
 val read_posting : ?io:Sbi_fault.Io.t -> string -> footer -> [ `Site | `Pred ] -> int -> int array
+(** One posting's sorted run positions.  An empty posting (directory
+    count 0) comes from the footer alone, without touching the file.
+    @raise Corrupt on damage, including a count-0 entry that claims
+    bytes. *)
+
 val read_run_ids : ?io:Sbi_fault.Io.t -> string -> footer -> int array

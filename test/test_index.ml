@@ -526,6 +526,201 @@ let qcheck_cooccurrence =
           in
           Triage.cooccurrence idx ~a ~b = naive))
 
+(* --- incremental epoch snapshots --- *)
+
+(* Bit-level fingerprints: equal fingerprints mean the very same floats,
+   not merely numerically equal ones. *)
+let fbits = Int64.bits_of_float
+
+let score_bits (sc : Sbi_core.Scores.t) =
+  let open Sbi_core.Scores in
+  let ci (i : Sbi_util.Stats.interval) = [ fbits i.Sbi_util.Stats.lo; fbits i.Sbi_util.Stats.hi ] in
+  ( [ sc.pred; sc.f; sc.s; sc.f_obs; sc.s_obs ],
+    List.map fbits [ sc.failure; sc.context; sc.increase; sc.z; sc.sensitivity; sc.importance ]
+    @ ci sc.increase_ci @ ci sc.importance_ci )
+
+let affinity_bits entries =
+  List.map
+    (fun (e : Sbi_core.Affinity.entry) ->
+      ( e.Sbi_core.Affinity.pred,
+        List.map fbits
+          [ e.Sbi_core.Affinity.importance_before; e.Sbi_core.Affinity.importance_after;
+            e.Sbi_core.Affinity.drop ] ))
+    entries
+
+let elimination_bits (r : Sbi_core.Eliminate.result) =
+  let open Sbi_core.Eliminate in
+  ( List.map
+      (fun s ->
+        ( [ s.rank; s.pred; s.runs_before; s.failures_before; s.runs_discarded ],
+          score_bits s.initial,
+          score_bits s.effective ))
+      r.selections,
+    [ r.runs_remaining; r.failures_remaining; r.candidates_remaining ] )
+
+let naive_cooccurrence reports a b =
+  Array.fold_left
+    (fun acc r -> if Report.is_true r a && Report.is_true r b then acc + 1 else acc)
+    0 reports
+
+let all_preds = List.init npreds Fun.id
+
+(* The incremental snapshot is invisible to every query: random
+   interleavings of live appends with top-k, predicate detail, affinity,
+   elimination under all three §5 discard proposals, and co-occurrence
+   answer bit-for-bit what Sbi_core computes on the materialized corpus.
+   Each append first pins the current snapshot and checks afterwards that
+   its bitmap queries — whose tail bitmaps may be built only now — still
+   describe the pre-append corpus. *)
+let qcheck_interleaved_ingest_bit_identity =
+  QCheck2.Test.make ~name:"interleaved appends and queries bit-identical to Sbi_core"
+    ~count:15
+    QCheck2.Gen.(pair (int_range 0 10_000) (list_size (int_range 6 20) (int_range 0 5)))
+    (fun (seed, ops) ->
+      with_temp_dir (fun tmp ->
+          let log = Filename.concat tmp "log" in
+          let idx_dir = Filename.concat tmp "idx" in
+          let st = Random.State.make [| seed; 0x1e5 |] in
+          let base = random_reports st ~start_id:0 (20 + Random.State.int st 20) in
+          write_log ~dir:log base;
+          ignore (Index.build ~log ~dir:idx_dir ());
+          let idx = Index.open_ ~dir:idx_dir in
+          let all = ref base in
+          let pred () = Random.State.int st npreds in
+          let counts () = Sbi_core.Counts.compute (dataset_of !all) in
+          List.for_all
+            (fun op ->
+              match op with
+              | 0 ->
+                  let before = !all and held = Index.snapshot idx in
+                  let live =
+                    random_reports st ~start_id:(Array.length before) (1 + Random.State.int st 3)
+                  in
+                  Array.iter (Index.append idx) live;
+                  all := Array.append before live;
+                  let a = pred () and b = pred () in
+                  Triage.Snap.cooccurrence held ~a ~b = naive_cooccurrence before a b
+                  && affinity_bits (Triage.Snap.affinity held ~selected:a ~others:all_preds)
+                     = affinity_bits
+                         (Sbi_core.Affinity.list (dataset_of before) ~selected:a
+                            ~others:all_preds)
+              | 1 ->
+                  let all_scores = Sbi_core.Prune.retained_scores (counts ()) in
+                  Array.sort Sbi_core.Scores.compare_importance_desc all_scores;
+                  let expected = Array.to_list (Array.sub all_scores 0 (min 5 (Array.length all_scores))) in
+                  List.map score_bits (Triage.topk ~k:5 idx) = List.map score_bits expected
+              | 2 ->
+                  let p = pred () in
+                  score_bits (Triage.pred_detail idx ~pred:p)
+                  = score_bits (Sbi_core.Scores.score (counts ()) ~pred:p)
+              | 3 ->
+                  let p = pred () in
+                  affinity_bits (Triage.affinity idx ~selected:p ~others:all_preds)
+                  = affinity_bits
+                      (Sbi_core.Affinity.list (dataset_of !all) ~selected:p ~others:all_preds)
+              | 4 ->
+                  List.for_all
+                    (fun discard ->
+                      elimination_bits (Triage.eliminate ~discard idx)
+                      = elimination_bits (Sbi_core.Eliminate.run ~discard (dataset_of !all)))
+                    [
+                      Sbi_core.Eliminate.Discard_all_true;
+                      Sbi_core.Eliminate.Discard_failing_true;
+                      Sbi_core.Eliminate.Relabel_failing;
+                    ]
+              | _ ->
+                  let a = pred () and b = pred () in
+                  Triage.cooccurrence idx ~a ~b = naive_cooccurrence !all a b)
+            ops))
+
+let count_spans name =
+  List.length
+    (List.filter (fun (s : Sbi_obs.Trace.span) -> s.Sbi_obs.Trace.name = name)
+       (Sbi_obs.Trace.recent ()))
+
+let with_tracing f =
+  let was = Sbi_obs.enabled () in
+  Sbi_obs.set_enabled true;
+  Sbi_obs.Trace.clear ();
+  Fun.protect ~finally:(fun () -> Sbi_obs.set_enabled was) f
+
+(* [f open_live]: each [open_live ()] opens the same 30-run index afresh
+   and appends the same [live] reports to its tail. *)
+let with_live_index ~seed ~live f =
+  with_temp_dir (fun tmp ->
+      let log = Filename.concat tmp "log" in
+      let idx_dir = Filename.concat tmp "idx" in
+      let st = Random.State.make [| seed |] in
+      let base = random_reports st ~start_id:0 30 in
+      write_log ~dir:log base;
+      ignore (Index.build ~log ~dir:idx_dir ());
+      let tail = random_reports st ~start_id:30 live in
+      let open_live () =
+        let idx = Index.open_ ~dir:idx_dir in
+        Array.iter (Index.append idx) tail;
+        idx
+      in
+      f open_live)
+
+(* Aggregate-only queries never build the tail's bitmaps; the first bitmap
+   query builds them exactly once per snapshot, and a second one at the
+   same epoch reuses them. *)
+let test_tail_bits_lazy () =
+  with_live_index ~seed:31 ~live:1 (fun open_live ->
+      let idx = open_live () in
+      with_tracing (fun () ->
+          ignore (Triage.topk ~k:5 idx);
+          ignore (Triage.topk_f ~k:5 ~formula:Sbi_sbfl.Formula.importance idx);
+          ignore (Triage.pred_detail idx ~pred:3);
+          ignore (Triage.pred_score idx ~pred:3 ~formula:Sbi_sbfl.Formula.importance);
+          Alcotest.(check int) "topk and pred build no tail bitmaps" 0
+            (count_spans "index.tail_bits");
+          ignore (Triage.affinity idx ~selected:3 ~others:all_preds);
+          Alcotest.(check int) "first affinity builds them once" 1
+            (count_spans "index.tail_bits");
+          ignore (Triage.affinity idx ~selected:3 ~others:all_preds);
+          Alcotest.(check int) "second affinity at the same epoch reuses them" 1
+            (count_spans "index.tail_bits")))
+
+(* First use of the tail view from a 4-domain pool: four racers line up
+   and reach the not-yet-built bitmaps together, exactly one builds them,
+   and every answer matches the sequential computation on an identical
+   index. *)
+let test_tail_view_concurrent_first_use () =
+  with_live_index ~seed:32 ~live:25 (fun open_live ->
+      let racers = 4 in
+      let answers snap i =
+        List.filter_map
+          (fun p ->
+            if p mod racers <> i then None
+            else Some (affinity_bits (Triage.Snap.affinity snap ~selected:p ~others:all_preds)))
+          all_preds
+      in
+      let sequential =
+        let snap = Index.snapshot (open_live ()) in
+        Array.init racers (answers snap)
+      in
+      let snap = Index.snapshot (open_live ()) in
+      let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains:racers () in
+      let arrived = Atomic.make 0 and parallel = Array.make racers [] in
+      with_tracing (fun () ->
+          Fun.protect
+            ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
+            (fun () ->
+              (* one racer per domain; each waits (bounded) for the others *)
+              Sbi_par.Domain_pool.parallel_for pool ~grain:1 ~n:racers (fun lo hi ->
+                  for i = lo to hi - 1 do
+                    Atomic.incr arrived;
+                    let deadline = Unix.gettimeofday () +. 2.0 in
+                    while Atomic.get arrived < racers && Unix.gettimeofday () < deadline do
+                      Unix.sleepf 0.0001
+                    done;
+                    parallel.(i) <- answers snap i
+                  done));
+          Alcotest.(check int) "tail bitmaps built exactly once" 1
+            (count_spans "index.tail_bits");
+          Alcotest.(check bool) "parallel first use = sequential" true (parallel = sequential)))
+
 (* --- tiered compaction --- *)
 
 (* grow the log in waves, compiling each wave into its own segment *)
@@ -685,4 +880,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_snapshot_cache;
     QCheck_alcotest.to_alcotest qcheck_parallel_elimination;
     QCheck_alcotest.to_alcotest qcheck_cooccurrence;
+    QCheck_alcotest.to_alcotest qcheck_interleaved_ingest_bit_identity;
+    Alcotest.test_case "tail bitmaps built lazily, once per snapshot" `Quick
+      test_tail_bits_lazy;
+    Alcotest.test_case "tail view first used from 4 domains builds once" `Quick
+      test_tail_view_concurrent_first_use;
   ]

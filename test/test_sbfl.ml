@@ -254,7 +254,7 @@ let write_log ~dir ?(shard = 0) reports =
 
 (* topk through Triage.Snap must match topk_f importance pred-for-pred and
    bit-for-bit — including after incremental ingest bumps the epoch — and
-   stay identical when the snapshot is built by a domain pool. *)
+   stay identical when the index was opened by a domain pool. *)
 let qcheck_snapshot_path_bit_identical =
   QCheck2.Test.make ~name:"Triage topk_f importance = topk (snapshot path, incl. ingest)"
     ~count:12
@@ -285,12 +285,12 @@ let qcheck_snapshot_path_bit_identical =
           (* incremental ingest: live-tail appends bump the epoch *)
           Array.iter (Index.append idx) (random_reports st ~start_id:60 15);
           let ok1 = same (Index.snapshot idx) in
-          (* domain-parallel snapshot build must not change the ranking *)
+          (* domain-parallel open must not change the ranking *)
           let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains:2 () in
           let ok2 =
             Fun.protect
               ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-              (fun () -> same (Index.snapshot ~pool idx))
+              (fun () -> same (Index.snapshot (Index.open_par ~pool ~dir)))
           in
           ok0 && ok1 && ok2))
 

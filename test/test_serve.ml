@@ -622,6 +622,53 @@ let test_send_deadline ~acceptors () =
       Client.close c;
       try Unix.close fd with Unix.Unix_error _ -> ())
 
+let fault_count stats kind =
+  let prefix = Printf.sprintf "fault.%s " kind in
+  let n = String.length prefix in
+  List.fold_left
+    (fun acc l ->
+      if String.length l > n && String.sub l 0 n = prefix then
+        int_of_string (String.sub l n (String.length l - n))
+      else acc)
+    0 stats
+
+(* [Client.close] writes [quit] and hangs up without reading [bye]: that
+   is a clean close, so the server's [bye] meeting a closed socket must
+   not count as [fault.reset].  A peer that drops a connection in the
+   middle of a request still counts exactly one: the server either writes
+   its reply into a closed socket (EPIPE) or, if the reply landed first,
+   reads the reset the unread reply caused. *)
+let test_quit_is_not_a_fault ~acceptors () =
+  with_server ~acceptors (fun ~srv ~addr ~idx:_ ~ingest_dir:_ ->
+      for _ = 1 to 20 do
+        Client.close (connect_ok addr)
+      done;
+      let rec drain tries =
+        let n = Server.worker_count srv in
+        if n = 0 || tries = 0 then n
+        else begin
+          Thread.delay 0.02;
+          drain (tries - 1)
+        end
+      in
+      Alcotest.(check int) "all 20 connections closed" 0 (drain 250);
+      let c = connect_ok addr in
+      let _, stats = request_ok c "stats" in
+      Alcotest.(check int) "clean quit is not fault.reset" 0 (fault_count stats "reset");
+      let fd = raw_connect addr in
+      write_all fd "topk 3\n";
+      Unix.close fd;
+      let rec resets tries =
+        let n = fault_count (snd (request_ok c "stats")) "reset" in
+        if n > 0 || tries = 0 then n
+        else begin
+          Thread.delay 0.02;
+          resets (tries - 1)
+        end
+      in
+      Alcotest.(check int) "a drop mid-request counts one fault.reset" 1 (resets 250);
+      Client.close c)
+
 let test_start_failure_releases_resources () =
   (* the regression: start bound the socket, spawned the pool, then died
      opening the ingest writer — leaking the listen fd and the bound
@@ -1089,6 +1136,7 @@ let suite =
   @ dual "concurrent clients" test_server_concurrent_clients
   @ dual "connection gauge drains after churn" test_worker_table_drains
   @ dual "send deadline on stalled peer" test_send_deadline
+  @ dual "clean quit is not a fault" test_quit_is_not_a_fault
   @ dual "pipelined requests" test_pipelined
   @ dual "max-conns admission cap" test_max_conns_cap
   @ dual "accept-error recovery under fd exhaustion" test_accept_error_recovery

@@ -255,6 +255,47 @@ let test_footer_lazy_reads () =
            (Sbi_ingest.Aggregator.to_counts of_body)
         = 0))
 
+(* An empty posting is answered from the footer directory alone: with the
+   segment file deleted it still reads back, while a nonempty one needs
+   the file.  A count-0 entry that claims bytes is still rejected. *)
+let test_empty_posting_no_io () =
+  with_temp_dir (fun tmp ->
+      (* site 2 and predicates 3..5 are never observed *)
+      let seg =
+        Segment.of_reports ~nsites ~npreds ~source_shard:0 ~start_off:0 ~end_off:0
+          [|
+            mk_report ~outcome:Sbi_runtime.Report.Failure ~sites:[| 0 |] ~preds:[| 0 |] 1;
+            mk_report ~sites:[| 0; 1 |] ~preds:[| 1; 2 |] 2;
+          |]
+      in
+      let path = Filename.concat tmp "seg.sbix" in
+      write_file path (Segment.encode seg);
+      let ft =
+        match Segment.read_footer path with
+        | Some ft -> ft
+        | None -> Alcotest.fail "v2 segment must expose a footer"
+      in
+      Sys.remove path;
+      Alcotest.(check bool) "empty predicate posting reads without the file" true
+        (Segment.read_posting path ft `Pred 4 = [||]);
+      Alcotest.(check bool) "empty site posting reads without the file" true
+        (Segment.read_posting path ft `Site 2 = [||]);
+      (match Segment.read_posting path ft `Pred 0 with
+      | _ -> Alcotest.fail "a nonempty posting must read the file"
+      | exception (Sys_error _ | Unix.Unix_error _) -> ());
+      let claims_bytes =
+        {
+          ft with
+          Segment.ft_pred_dir =
+            Array.mapi
+              (fun p (off, blen, count) -> if p = 4 then (off, 3, 0) else (off, blen, count))
+              ft.Segment.ft_pred_dir;
+        }
+      in
+      match Segment.read_posting path claims_bytes `Pred 4 with
+      | _ -> Alcotest.fail "a count-0 posting with a byte length must be corrupt"
+      | exception Segment.Corrupt _ -> ())
+
 let test_footer_v1_and_corruption () =
   with_temp_dir (fun tmp ->
       let seg = sample_segment () in
@@ -306,6 +347,7 @@ let suite =
     Alcotest.test_case "lru cache" `Quick test_lru;
     Alcotest.test_case "tier policy" `Quick test_tier_policy;
     Alcotest.test_case "segment v2 footer lazy reads" `Quick test_footer_lazy_reads;
+    Alcotest.test_case "empty postings need no file I/O" `Quick test_empty_posting_no_io;
     Alcotest.test_case "segment v1 fallback + footer corruption" `Quick
       test_footer_v1_and_corruption;
   ]
