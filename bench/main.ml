@@ -298,6 +298,13 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 let connect_exn addr =
   match Sbi_serve.Client.connect addr with
   | Ok c -> c
@@ -570,7 +577,9 @@ let ingest_throughput ctx =
     let idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
     let srv = Sbi_serve.Server.start config idx in
     Fun.protect
-      ~finally:(fun () -> Sbi_serve.Server.stop srv)
+      ~finally:(fun () ->
+        Sbi_serve.Server.stop srv;
+        rm_rf log_dir)
       (fun () -> f (Sbi_serve.Wire.Unix_sock sock))
   in
   (* baseline: one client, one `ingest` RPC (and one inline fsync) per
@@ -640,23 +649,38 @@ let ingest_throughput ctx =
 (* `bench/main.exe --ingest-check`: exit non-zero unless batched
    group-commit ingest beats the single-report RPC path by >= 10x at
    fsync=true — the payoff gate for the batched front end, wired to
-   `make bench-check`. *)
+   `make bench-check`.  One (single, batched) pair on a host whose speed
+   drifts measured anywhere from 5.6x to 20.8x on unchanged code, so the
+   gate runs [ingest_check_pairs] interleaved pairs and judges the
+   median ratio. *)
+let ingest_check_pairs = 5
+
 let ingest_check () =
-  Printf.printf "ingest-check: batched group-commit vs single-RPC ingest, fsync on\n%!";
+  Printf.printf
+    "ingest-check: batched group-commit vs single-RPC ingest, fsync on, %d interleaved pairs\n%!"
+    ingest_check_pairs;
   let ctx = build_synth_ctx ~nruns:2_000 in
-  let entries = ingest_throughput ctx in
-  let single = List.assoc "ingest:single" entries
-  and batch = List.assoc "ingest:batch" entries in
-  let ratio = single /. Float.max batch 1e-9 in
+  let ratios =
+    Array.init ingest_check_pairs (fun i ->
+        Printf.printf "pair %d/%d: %!" (i + 1) ingest_check_pairs;
+        let entries = ingest_throughput ctx in
+        List.assoc "ingest:single" entries /. Float.max (List.assoc "ingest:batch" entries) 1e-9)
+  in
+  let ratio = Sbi_util.Stats.median ratios in
+  let lo = Array.fold_left Float.min infinity ratios
+  and hi = Array.fold_left Float.max neg_infinity ratios in
   if ratio >= 10.0 then begin
-    Printf.printf "ingest-check OK: batched ingest %.1fx the single-RPC path (need >= 10x)\n"
-      ratio;
+    Printf.printf
+      "ingest-check OK: batched ingest %.1fx the single-RPC path, median of %d pairs \
+       (range %.1f-%.1fx; need >= 10x)\n"
+      ratio ingest_check_pairs lo hi;
     exit 0
   end
   else begin
     Printf.eprintf
-      "ingest-check FAILED: batched ingest only %.1fx the single-RPC path (need >= 10x)\n"
-      ratio;
+      "ingest-check FAILED: batched ingest only %.1fx the single-RPC path, median of %d pairs \
+       (range %.1f-%.1fx; need >= 10x)\n"
+      ratio ingest_check_pairs lo hi;
     exit 1
   end
 
@@ -1223,13 +1247,6 @@ let scale_sig scores =
         sc.Sbi_core.Scores.s ))
     scores
 
-let rec scale_rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun n -> scale_rm_rf (Filename.concat path n)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 let warm_topk idx =
   ignore (Sbi_index.Triage.topk ~k:10 idx);
   let samples =
@@ -1269,8 +1286,8 @@ let run_scale ~runs =
   Fun.protect
     ~finally:(fun () ->
       try
-        scale_rm_rf log_dir;
-        scale_rm_rf idx_dir
+        rm_rf log_dir;
+        rm_rf idx_dir
       with Sys_error _ -> ())
     (fun () ->
       let waves = 16 and shards = 4 in

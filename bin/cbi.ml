@@ -849,24 +849,28 @@ let fault_check_cmd =
   Cmd.v info Term.(const run $ scratch_t $ verbose_t)
 
 let serve_cmd =
+  (* every option defaults to what the library's default config runs *)
+  let d = Sbi_serve.Server.default_config (Sbi_serve.Wire.Tcp ("127.0.0.1", 7077)) in
   let idx_t =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"INDEX"
            ~doc:"Index directory built by 'cbi index'.")
   in
   let addr_t =
-    Arg.(value & opt string "127.0.0.1:7077" & info [ "a"; "addr" ] ~docv:"ADDR"
+    Arg.(value & opt string (Sbi_serve.Wire.addr_to_string d.addr) & info [ "a"; "addr" ]
+           ~docv:"ADDR"
            ~doc:"Listen address: host:port, or a filesystem path (Unix socket).")
   in
   let timeout_t =
-    Arg.(value & opt float 30. & info [ "timeout" ] ~docv:"SECS"
-           ~doc:"Per-connection receive timeout.")
+    Arg.(value & opt float d.timeout & info [ "timeout" ] ~docv:"SECS"
+           ~doc:"Per-connection idle deadline: a connection that sends no request, or \
+                 stops reading its responses, for SECS is closed.  0 disables it.")
   in
   let timeout_ms_t =
     Arg.(value & opt (some int) None & info [ "timeout-ms" ] ~docv:"MS"
-           ~doc:"Per-connection receive timeout in milliseconds (overrides --timeout).")
+           ~doc:"Per-connection idle deadline in milliseconds (overrides --timeout).")
   in
   let max_request_t =
-    Arg.(value & opt int (1 lsl 20) & info [ "max-request-bytes" ] ~docv:"BYTES"
+    Arg.(value & opt int d.max_request & info [ "max-request-bytes" ] ~docv:"BYTES"
            ~doc:"Reject any request line longer than this (the connection is closed \
                  and the rejection counted in the stats fault counters).")
   in
@@ -884,12 +888,12 @@ let serve_cmd =
            ~doc:"Incrementally re-index the source log before serving.")
   in
   let domains_t =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
+    Arg.(value & opt int d.domains & info [ "domains" ] ~docv:"N"
            ~doc:"Analysis domains: N > 1 spawns a domain pool that parallelizes \
                  snapshot rebuilds and affinity rescoring on the read path.")
   in
   let par_grain_t =
-    Arg.(value & opt int (1 lsl 20) & info [ "par-grain" ] ~docv:"CELLS"
+    Arg.(value & opt int d.par_grain & info [ "par-grain" ] ~docv:"CELLS"
            ~doc:"Sequential cutoff for the parallel read path: a query whose \
                  estimated work (runs x predicates popcount cells) is below \
                  CELLS runs inline on the request thread instead of fanning \
@@ -908,31 +912,31 @@ let serve_cmd =
                  queries or ingest.  Unset disables background compaction.")
   in
   let serve_tier_max_t =
-    Arg.(value & opt int Sbi_store.Tier.default_tier_max & info [ "tier-max" ] ~docv:"N"
+    Arg.(value & opt int d.tier_max & info [ "tier-max" ] ~docv:"N"
            ~doc:"Background compaction merges a size tier when it holds at least N \
                  segments.")
   in
   let group_commit_ms_t =
-    Arg.(value & opt float 2. & info [ "group-commit-ms" ] ~docv:"MS"
+    Arg.(value & opt float d.group_commit_ms & info [ "group-commit-ms" ] ~docv:"MS"
            ~doc:"Group-commit window: ingest appends park up to MS milliseconds so one \
                  log fsync covers every report that arrived in the window (acks still \
                  wait for the covering fsync — durability semantics are unchanged).  \
                  0 disables group commit: one inline fsync per ingest request.")
   in
   let max_batch_t =
-    Arg.(value & opt int 512 & info [ "max-batch" ] ~docv:"N"
+    Arg.(value & opt int d.max_batch & info [ "max-batch" ] ~docv:"N"
            ~doc:"Force a group-commit flush once N reports are pending in the window, \
                  without waiting out --group-commit-ms.")
   in
   let acceptors_t =
-    Arg.(value & opt int 1 & info [ "acceptors" ] ~docv:"N"
-           ~doc:"Event-loop domains for the connection front end: each runs a poll(2) \
-                 readiness loop over non-blocking connections (on TCP with N >= 2, \
-                 each accepts on its own SO_REUSEPORT listener).  0 falls back to the \
-                 legacy thread-per-connection path.")
+    Arg.(value & opt int d.acceptors & info [ "acceptors" ] ~docv:"N"
+           ~doc:"Event-loop domains for the connection front end (N >= 1): each runs a \
+                 poll(2) readiness loop over non-blocking connections.  On TCP with \
+                 N >= 2 each loop accepts on its own SO_REUSEPORT listener; otherwise \
+                 loop 0 accepts and hands connections to its peers round-robin.")
   in
   let max_conns_t =
-    Arg.(value & opt int 4096 & info [ "max-conns" ] ~docv:"N"
+    Arg.(value & opt int d.max_conns & info [ "max-conns" ] ~docv:"N"
            ~doc:"Connection admission cap: a client beyond it is answered with a \
                  one-line 'err busy' and closed instead of hanging.")
   in
@@ -974,8 +978,8 @@ let serve_cmd =
       prerr_endline "cbi: --max-batch must be >= 1";
       exit 2
     end;
-    if acceptors < 0 then begin
-      prerr_endline "cbi: --acceptors must be >= 0";
+    if acceptors < 1 then begin
+      prerr_endline "cbi: --acceptors must be >= 1";
       exit 2
     end;
     if max_conns < 1 then begin
@@ -1010,6 +1014,7 @@ let serve_cmd =
     in
     let config =
       {
+        d with
         Sbi_serve.Server.addr;
         timeout;
         fsync = not no_fsync;
@@ -1017,7 +1022,6 @@ let serve_cmd =
         domains;
         par_grain;
         max_request;
-        io = Sbi_fault.Io.none;
         compact_every;
         tier_max;
         group_commit_ms;

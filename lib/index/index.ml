@@ -1,6 +1,7 @@
 open Sbi_runtime
 open Sbi_ingest
 module Tier = Sbi_store.Tier
+module Segment = Sbi_store.Segment
 
 exception Format_error of string
 

@@ -11,7 +11,7 @@
                        source-shard consumed byte offsets, segment list
                        (leaf entries and compaction-merged entries with
                        their source cover ranges)
-      seg-0000.sbix    immutable {!Segment} files (CRC-trailed)
+      seg-0000.sbix    immutable {!Sbi_store.Segment} files (CRC-trailed)
       ...
     v}
 
@@ -138,7 +138,7 @@ val num_failures : t -> int
     Size-tiered merging ({!Sbi_store.Tier}): whenever a tier holds
     [tier_max] (default 4) segments, all of them are concatenated into
     one segment of the next tier, cascading until no tier is overfull.
-    Merging never rewrites run content — {!Segment.concat} preserves
+    Merging never rewrites run content — {!Sbi_store.Segment.concat} preserves
     run order, outcomes and postings verbatim — so all rankings are
     bit-identical across a compaction.  Each round writes its merged
     segments, then atomically rewrites the manifest; obsolete files are

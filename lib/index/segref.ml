@@ -1,4 +1,6 @@
+module Bitset = Sbi_store.Bitset
 module Rbitmap = Sbi_store.Rbitmap
+module Segment = Sbi_store.Segment
 module Lru = Sbi_store.Lru
 
 (* A segment reference: the snapshot/triage layers' uniform handle over a

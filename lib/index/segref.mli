@@ -1,6 +1,6 @@
-(** Uniform segment handle for the read path: an in-memory {!Segment.t}
-    (live tail, legacy v1 files) or a lazily loaded v2 segment opened
-    from its footer.
+(** Uniform segment handle for the read path: an in-memory
+    {!Sbi_store.Segment.t} (live tail, legacy v1 files) or a lazily
+    loaded v2 segment opened from its footer.
 
     Disk-backed postings materialize on first touch as compressed
     {!Sbi_store.Rbitmap}s through a shared LRU {!cache}, so an index far
@@ -18,14 +18,14 @@ val create_cache : ?budget:int -> unit -> cache
 
 type t
 
-val of_segment : file:string -> Segment.t -> t
-val of_disk : ?io:Sbi_fault.Io.t -> cache:cache -> path:string -> file:string -> Segment.footer -> t
+val of_segment : file:string -> Sbi_store.Segment.t -> t
+val of_disk : ?io:Sbi_fault.Io.t -> cache:cache -> path:string -> file:string -> Sbi_store.Segment.footer -> t
 
 val file : t -> string
 val nruns : t -> int
 val num_f : t -> int
 
-val failing : t -> Bitset.t
+val failing : t -> Sbi_store.Bitset.t
 (** The outcome bitmap, shared/memoized — callers must copy before
     mutating (the elimination loop does). *)
 
@@ -35,4 +35,4 @@ val site_bits : t -> int -> Sbi_store.Rbitmap.t
 val aggregator : pred_site:int array -> t -> Sbi_ingest.Aggregator.t
 (** The segment's §3.1 partial aggregate; footer statistics alone for
     disk segments (no posting reads).
-    @raise Segment.Corrupt on inconsistent footer counters. *)
+    @raise Sbi_store.Segment.Corrupt on inconsistent footer counters. *)

@@ -1,5 +1,7 @@
 open Sbi_runtime
+module Bitset = Sbi_store.Bitset
 module Rbitmap = Sbi_store.Rbitmap
+module Segment = Sbi_store.Segment
 
 type view = {
   v_nruns : int;

@@ -19,7 +19,7 @@
 
 type view = {
   v_nruns : int;
-  v_failing : unit -> Bitset.t;
+  v_failing : unit -> Sbi_store.Bitset.t;
       (** outcome bitmap, shared/memoized — copy before mutating *)
   v_pred_bits : int -> Sbi_store.Rbitmap.t;  (** per-predicate run bitmaps *)
   v_site_bits : int -> Sbi_store.Rbitmap.t;  (** per-site observed bitmaps *)

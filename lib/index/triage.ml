@@ -1,5 +1,6 @@
 open Sbi_runtime
 open Sbi_core
+module Bitset = Sbi_store.Bitset
 module Rbitmap = Sbi_store.Rbitmap
 
 (* --- snapshot-level queries ---

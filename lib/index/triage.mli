@@ -4,7 +4,7 @@
     (built once per ingest epoch, cached on the index): aggregate
     counts come from the snapshot's merged aggregate, and run-subset
     computations (affinity, iterative elimination) are word-level
-    {!Bitset} popcount kernels over per-view alive/failing masks —
+    {!Sbi_store.Bitset} popcount kernels over per-view alive/failing masks —
     never a posting walk, never a corpus rescan.  The per-predicate
     rescoring inside elimination and affinity fans across [pool] when
     one is given — chunked at {!rescore_grain}, each domain filling a

@@ -429,16 +429,11 @@ let parallel_for_scratch t ?(grain = 1) ~n ~scratch ~merge body =
   end
 
 let map_array t ?grain f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    (* element 0 seeds the output array on the caller (no Option boxing);
-       the fan-out covers the rest *)
-    let out = Array.make n (f arr.(0)) in
-    if n > 1 then
-      parallel_for t ?grain ~n:(n - 1) (fun lo hi ->
-          for i = lo + 1 to hi do
-            out.(i) <- f arr.(i)
-          done);
-    out
-  end
+  (* the fan-out covers every element, 0 included, so none runs on the
+     caller ahead of the others *)
+  let out = Array.make (Array.length arr) None in
+  parallel_for t ?grain ~n:(Array.length arr) (fun lo hi ->
+      for i = lo to hi - 1 do
+        out.(i) <- Some (f arr.(i))
+      done);
+  Array.map Option.get out

@@ -112,6 +112,5 @@ val parallel_for_scratch :
     [let a = scratch () in body a 0 n; merge a]. *)
 
 val map_array : t -> ?grain:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving parallel map built on {!parallel_for}.  [f] is
-    applied to element 0 on the caller first (seeding the result array),
-    then the rest fans out. *)
+(** Order-preserving parallel map built on {!parallel_for}: every
+    element, the first included, goes through the same fan-out. *)

@@ -1,13 +1,12 @@
 (* Event-driven, multi-domain connection front end.
 
-   The thread-per-connection server dies twice at connection scale: every
-   concurrent client costs a systhread (unbounded [Thread.create] under a
-   fleet-sized load), and every readiness wait ran through [Unix.select],
-   which raises once any fd crosses FD_SETSIZE (1024).  This module
-   replaces both: [loops] domains each run a poll(2) readiness loop
-   (C stub in [poll_stubs.c]) over non-blocking connection fds, driving a
-   per-connection state machine for the newline/dot-framed protocol —
-   read buffer → incremental parse → dispatch → write buffer.
+   Connection count must stay cheap at fleet scale: no systhread per
+   client, and no [Unix.select], which raises once any fd crosses
+   FD_SETSIZE (1024).  So [loops] domains each run a poll(2) readiness
+   loop (C stub in [poll_stubs.c]) over non-blocking connection fds,
+   driving a per-connection state machine for the newline/dot-framed
+   protocol — read buffer → incremental parse → dispatch → write
+   buffer.
 
    Division of labour:
 
@@ -23,8 +22,8 @@
    response is still draining), the connection's fd is dropped from the
    loop's read interest set, so a flooding peer is throttled by the
    kernel socket buffer instead of growing server-side queues.  At most
-   one request per connection is in flight, exactly like the
-   thread-per-connection path.
+   one request per connection is in flight, so a connection's responses
+   leave in request order.
 
    Listener strategies: with [Per_loop] each domain polls its own
    listener fd (bound with SO_REUSEPORT — the kernel load-balances
@@ -305,9 +304,9 @@ and parse_lines g l c off =
                 c.c_batch <- None;
                 if b.b_count > g.cfg.max_batch_lines then begin
                   (* consumed through the terminator: reject the batch
-                     without dropping the connection, exactly like the
-                     thread path's [`Too_many].  The write is picked up
-                     by the next poll round (POLLOUT interest). *)
+                     without dropping the connection, so the stream
+                     stays in sync.  The write is picked up by the next
+                     poll round (POLLOUT interest). *)
                   g.cfg.on_fault "oversize";
                   enqueue_write c
                     (Wire.render_err
@@ -579,8 +578,8 @@ let loop_main g l =
 
 (* Workers drain the queue even after stop is raised: a request already
    parsed off a connection completes (its side effects — a durable
-   ingest — happen exactly as on the thread path at shutdown); the
-   response is dropped if the owning loop is gone. *)
+   ingest — happen before shutdown returns); the response is dropped if
+   the owning loop is gone. *)
 let worker_loop g =
   let next () =
     Mutex.lock g.wq_mx;

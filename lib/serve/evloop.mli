@@ -1,10 +1,10 @@
 (** Event-driven, multi-domain connection front end over poll(2).
 
-    Replaces thread-per-connection at connection scale: [loops] domains
-    each run a poll(2) readiness loop (C stub — no FD_SETSIZE ceiling,
-    unlike [Unix.select]) over non-blocking fds with a per-connection
-    state machine for the newline/dot-framed protocol.  Request handling
-    runs on a small bounded worker-thread pool so the loops never block;
+    Built for connection scale: [loops] domains each run a poll(2)
+    readiness loop (C stub — no FD_SETSIZE ceiling, unlike
+    [Unix.select]) over non-blocking fds with a per-connection state
+    machine for the newline/dot-framed protocol.  Request handling runs
+    on a small bounded worker-thread pool so the loops never block;
     responses travel back through a per-loop inbox + self-pipe wakeup.
 
     Backpressure: while a connection has a request in flight or response
@@ -61,7 +61,7 @@ type config = {
   loops : int;  (** event-loop domains (>= 1) *)
   workers : int;  (** handler threads (>= 1) *)
   max_conns : int;  (** exact admission cap *)
-  max_line : int;  (** per-line byte bound, as in {!Wire.reader} *)
+  max_line : int;  (** per-line byte bound *)
   max_batch_lines : int;  (** ingest-batch report cap *)
   idle_timeout_ns : int;  (** idle deadline; [<= 0] disables *)
   io : Sbi_fault.Io.t;  (** fault injection for conn reads/writes *)

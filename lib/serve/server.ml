@@ -24,13 +24,11 @@ type config = {
          the window; 0 keeps the inline fsync-per-request path *)
   max_batch : int;  (* force a group-commit flush at this many pending reports *)
   acceptors : int;
-      (* > 0: event-driven front end — this many Evloop domains replace
-         thread-per-connection (SO_REUSEPORT per-loop listeners on TCP
-         when available, shared-listener distributor otherwise); 0 keeps
-         the legacy one-thread-per-connection path *)
+      (* Evloop domains, >= 1 (SO_REUSEPORT per-loop listeners on TCP
+         when available, shared-listener distributor otherwise) *)
   max_conns : int;
-      (* exact connection admission cap in both modes: beyond it a client
-         is accepted, answered [err busy], and closed (fault.overload) *)
+      (* exact connection admission cap: beyond it a client is accepted,
+         answered [err busy], and closed (fault.overload) *)
 }
 
 let default_config addr =
@@ -45,9 +43,9 @@ let default_config addr =
     io = Sbi_fault.Io.none;
     compact_every = None;
     tier_max = Sbi_store.Tier.default_tier_max;
-    group_commit_ms = 0.;
+    group_commit_ms = 2.;
     max_batch = 512;
-    acceptors = 0;
+    acceptors = 1;
     max_conns = 4096;
   }
 
@@ -64,22 +62,15 @@ type t = {
   metrics : Metrics.t;
   listen_fds : Unix.file_descr list;
       (* one per acceptor domain with SO_REUSEPORT, else a single shared
-         listener (always single on the legacy thread path) *)
-  mutable ev : Evloop.t option;  (* present iff config.acceptors > 0 *)
+         listener *)
+  mutable ev : Evloop.t option;  (* set by [start] once the loops run *)
   stop_flag : bool Atomic.t;
-  workers : (int, Thread.t * Unix.file_descr) Hashtbl.t;
-      (* keyed by connection id, not thread id: the id is minted (and the
-         entry inserted) under [workers_lock] *before* the worker thread
-         can run, so the handler's remove-on-exit always finds it *)
-  workers_lock : Mutex.t;
-  mutable next_conn : int;  (* under [workers_lock] *)
   writer : Shard_log.writer option;
   gc : Group_commit.t option;  (* present iff fsync ∧ group_commit_ms > 0 ∧ writer *)
   started_at : float;
   inflight : int Atomic.t;  (* requests inside dispatch (may read old segments) *)
   mutable ingested_n : int;
   mutable compactions : int;
-  mutable accept_thread : Thread.t option;
   mutable compact_thread : Thread.t option;
 }
 
@@ -353,26 +344,23 @@ let handle_ingest t b64 =
   | Ok [ Error e ] -> Error e
   | Ok _ -> assert false
 
+(* Batches over [max_batch_lines] never get here: the event loop
+   consumes them through the terminator and answers [err] itself. *)
 let handle_ingest_batch t payloads =
-  if List.length payloads > max_batch_lines then
-    Error (Printf.sprintf "ingest-batch exceeds %d reports" max_batch_lines)
-  else
-    match run_ingest t (List.map decode_payload payloads) with
-    | Error e -> Error e
-    | Ok outcomes ->
-        let ok_n = List.length (List.filter Result.is_ok outcomes) in
-        let lines =
-          List.map
-            (function
-              | Ok (r : Report.t) -> Printf.sprintf "ok %d" r.Report.run_id
-              | Error m -> "err " ^ m)
-            outcomes
-        in
-        Ok
-          ( Printf.sprintf "ingest-batch %d %d" ok_n (List.length outcomes - ok_n),
-            lines )
+  match run_ingest t (List.map decode_payload payloads) with
+  | Error e -> Error e
+  | Ok outcomes ->
+      let ok_n = List.length (List.filter Result.is_ok outcomes) in
+      let lines =
+        List.map
+          (function
+            | Ok (r : Report.t) -> Printf.sprintf "ok %d" r.Report.run_id
+            | Error m -> "err " ^ m)
+          outcomes
+      in
+      Ok (Printf.sprintf "ingest-batch %d %d" ok_n (List.length outcomes - ok_n), lines)
 
-(* --- connection loop --- *)
+(* --- request dispatch --- *)
 
 let cmd_name line =
   match String.index_opt line ' ' with
@@ -414,8 +402,9 @@ let dispatch t line =
       | _ -> Error ("bad trace count: " ^ n))
   | [ "ingest"; payload ] -> handle_ingest t payload
   | [ "ingest-batch" ] ->
-      (* the payload lines arrive after the command line; the connection
-         loop reads them and routes through [dispatch_batch] instead *)
+      (* the bare command line opens a payload body, which the event
+         loop parses into a [Batch] request; only a padded variant of
+         the line can land here *)
       Error "ingest-batch payloads missing (framing error)"
   | [] -> Error "empty command"
   | cmd :: _ ->
@@ -425,19 +414,19 @@ let dispatch t line =
             ingest ingest-batch quit)"
            cmd)
 
-(* One parsed request through dispatch, shared by both front ends: the
-   inflight bracket (compaction's segment reclamation waits on a drain),
-   the trace span, and per-request fault isolation. *)
-let eval_request t ~cmd ~line ~request =
+(* One parsed request through dispatch: the inflight bracket
+   (compaction's segment reclamation waits on a drain), the trace span,
+   and per-request fault isolation. *)
+let eval_request t ~cmd (req : Evloop.request) =
   Atomic.incr t.inflight;
   try
     Fun.protect
       ~finally:(fun () -> Atomic.decr t.inflight)
       (fun () ->
         Sbi_obs.Trace.with_span ~name:("serve." ^ cmd) (fun () ->
-            match request with
-            | `Single -> dispatch t line
-            | `Batch payloads -> handle_ingest_batch t payloads))
+            match req with
+            | Evloop.Line line -> dispatch t line
+            | Evloop.Batch payloads -> handle_ingest_batch t payloads))
   with
   | Sbi_fault.Fault.Crash _ as e -> raise e
   | e ->
@@ -445,34 +434,30 @@ let eval_request t ~cmd ~line ~request =
       Metrics.request_error t.metrics ~cmd;
       Error ("internal error: " ^ Printexc.to_string e)
 
-(* The event-loop handler: runs on an {!Evloop} worker thread with the
-   request already parsed off the wire by the loop's state machine.
-   Renders the full response body for the loop's write buffer.  Latency
-   covers dispatch + render; unlike the thread path it excludes the
-   write drain, which happens asynchronously on the loop. *)
-let ev_handle t (req : Evloop.request) : Evloop.response =
+(* The {!Evloop} handler: runs on a dispatch worker thread with the
+   request already parsed off the wire by the loop's state machine, and
+   renders the full response body for the loop's write buffer.  Latency
+   covers dispatch + render; the write drain happens asynchronously on
+   the loop.  Monotonic clock: an NTP step mid-request must not yield a
+   negative or inflated latency. *)
+let handle t (req : Evloop.request) : Evloop.response =
   match req with
   | Evloop.Line "quit" ->
       { Evloop.body = Wire.render_ok ~header:"bye" ~lines:[]; close = true }
   | _ ->
-      let line, request =
+      let line, bytes_in =
         match req with
-        | Evloop.Line l -> (l, `Single)
-        | Evloop.Batch payloads -> ("ingest-batch", `Batch payloads)
+        | Evloop.Line l -> (l, String.length l + 1)
+        | Evloop.Batch payloads ->
+            ( "ingest-batch",
+              List.fold_left
+                (fun acc p -> acc + String.length p + 1)
+                (String.length "ingest-batch\n.\n") payloads )
       in
       let cmd = cmd_name line in
-      let bytes_in =
-        match request with
-        | `Single -> String.length line + 1
-        | `Batch payloads ->
-            List.fold_left
-              (fun acc p -> acc + String.length p + 1)
-              (String.length line + 3) payloads
-      in
       let t0 = Sbi_obs.Clock.now_ns () in
-      let result = eval_request t ~cmd ~line ~request in
       let body =
-        match result with
+        match eval_request t ~cmd req with
         | Ok (header, lines) -> Wire.render_ok ~header ~lines
         | Error msg -> Wire.render_err msg
       in
@@ -487,203 +472,6 @@ let ev_handle t (req : Evloop.request) : Evloop.response =
       Sbi_obs.Slowlog.observe ~cmd ~args ~dur_ns:latency_ns
         ~epoch:(Index.epoch t.index);
       { Evloop.body; close = false }
-
-(* A response write that hit the send deadline ([SO_SNDTIMEO]): the peer
-   stopped reading.  Distinguished from a receive timeout so the fault
-   shows up as its own metric. *)
-exception Send_stalled
-
-(* Reads the payload lines of an [ingest-batch] request (everything up
-   to the lone ["."], mirroring the response framing).  [`Too_many]
-   still consumes through the terminator, so the stream stays in sync
-   and the connection survives the rejection. *)
-let read_batch rd =
-  let acc = ref [] and count = ref 0 in
-  let rec go () =
-    match Wire.read_line rd with
-    | `Line "." -> if !count > max_batch_lines then `Too_many else `Batch (List.rev !acc)
-    | `Line l ->
-        incr count;
-        if !count <= max_batch_lines then acc := Wire.unstuff l :: !acc;
-        go ()
-    | `Eof -> `Eof
-    | `Too_long -> `Too_long
-  in
-  go ()
-
-(* Per-connection fault isolation: any failure on one connection —
-   receive deadline, peer reset, oversized request, handler exception —
-   is counted in metrics and closes only that connection.  The accept
-   loop and every other worker are untouched. *)
-let handle_connection t ~conn_id fd =
-  Metrics.connection_opened t.metrics;
-  let io = t.config.io in
-  let rd = Wire.reader ~io ~max_line:t.config.max_request fd in
-  let closed = ref false in
-  (try
-     while not !closed && not (Atomic.get t.stop_flag) do
-       match Wire.read_line rd with
-       | exception Wire.Timeout ->
-           Metrics.fault t.metrics ~kind:"timeout";
-           closed := true
-       | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-           Metrics.fault t.metrics ~kind:"reset";
-           closed := true
-       | exception End_of_file -> closed := true
-       | `Eof -> closed := true
-       | `Too_long ->
-           (* the stream is out of sync past the bound; reject and drop *)
-           Metrics.fault t.metrics ~kind:"oversize";
-           (try
-              ignore
-                (Wire.write_err ~io fd
-                   (Printf.sprintf "request exceeds %d bytes" t.config.max_request))
-            with _ -> ());
-           closed := true
-       | `Line line ->
-           if line = "quit" then begin
-             (* a peer that closes without reading [bye] is a clean close,
-                not a fault *)
-             (try ignore (Wire.write_ok ~io fd ~header:"bye" ~lines:[])
-              with Wire.Timeout | Unix.Unix_error _ | Sys_error _ -> ());
-             closed := true
-           end
-           else begin
-             let cmd = cmd_name line in
-             (* an ingest-batch request continues until a lone "." —
-                read the payload lines before the request clock starts *)
-             let request =
-               if line = "ingest-batch" then read_batch rd else `Single
-             in
-             match request with
-             | `Eof -> closed := true
-             | `Too_long ->
-                 Metrics.fault t.metrics ~kind:"oversize";
-                 (try
-                    ignore
-                      (Wire.write_err ~io fd
-                         (Printf.sprintf "request exceeds %d bytes" t.config.max_request))
-                  with _ -> ());
-                 closed := true
-             | `Too_many ->
-                 (* fully consumed through the terminator: reject without
-                    dropping the connection *)
-                 Metrics.fault t.metrics ~kind:"oversize";
-                 (try
-                    ignore
-                      (Wire.write_err ~io fd
-                         (Printf.sprintf "ingest-batch exceeds %d reports" max_batch_lines))
-                  with _ -> ())
-             | (`Single | `Batch _) as request ->
-             let bytes_in =
-               match request with
-               | `Single -> String.length line + 1
-               | `Batch payloads ->
-                   List.fold_left
-                     (fun acc p -> acc + String.length p + 1)
-                     (String.length line + 3) payloads
-             in
-             (* monotonic: an NTP step mid-request must not yield a
-                negative or inflated latency (the wall clock survives
-                only in started_at/uptime) *)
-             let t0 = Sbi_obs.Clock.now_ns () in
-             let result = eval_request t ~cmd ~line ~request in
-             let bytes_out =
-               try
-                 match result with
-                 | Ok (header, lines) -> Wire.write_ok ~io fd ~header ~lines
-                 | Error msg -> Wire.write_err ~io fd msg
-               with
-               | Wire.Timeout ->
-                   (* the peer stopped reading and the send deadline
-                      expired: attribute, then reclassify so the fault is
-                      counted as a send stall, not a receive timeout *)
-                   Metrics.request_error t.metrics ~cmd;
-                   raise Send_stalled
-               | e ->
-                   (* the peer died mid-response: attribute the failure to
-                      the command (req.<cmd>.err) before the connection
-                      handler classifies the fault kind *)
-                   Metrics.request_error t.metrics ~cmd;
-                   raise e
-             in
-             let latency_ns = Sbi_obs.Clock.now_ns () - t0 in
-             Metrics.record t.metrics ~cmd ~latency_ns ~bytes_in ~bytes_out;
-             let args =
-               match String.index_opt line ' ' with
-               | Some i -> String.sub line (i + 1) (String.length line - i - 1)
-               | None -> ""
-             in
-             Sbi_obs.Slowlog.observe ~cmd ~args ~dur_ns:latency_ns ~epoch:(Index.epoch t.index)
-           end
-     done
-   with
-  | Send_stalled -> Metrics.fault t.metrics ~kind:"send_timeout"
-  | Wire.Timeout -> Metrics.fault t.metrics ~kind:"timeout"
-  | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      Metrics.fault t.metrics ~kind:"reset"
-  | _ -> Metrics.fault t.metrics ~kind:"error");
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Metrics.connection_closed t.metrics;
-  locked t.workers_lock (fun () -> Hashtbl.remove t.workers conn_id)
-
-let accept_loop t =
-  let listen_fd = List.hd t.listen_fds in
-  let stop = ref false in
-  while (not !stop) && not (Atomic.get t.stop_flag) do
-    (* poll, not select: accept readiness must keep working after fd
-       numbers cross FD_SETSIZE *)
-    match Evloop.wait_readable ~timeout_ms:250 listen_fd with
-    | `Timeout -> ()
-    | `Ready -> (
-        match Unix.accept ~cloexec:true listen_fd with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-            (* the listener itself is gone (closed by stop): fatal for
-               this loop, and the only error class that may end it *)
-            stop := true
-        | exception Unix.Unix_error (_, _, _) ->
-            (* EMFILE/ENFILE/ECONNABORTED/ENOBUFS/...: transient.  The
-               old loop collapsed every accept error into "listener
-               closed" and silently dropped connections in a 4 Hz spin;
-               now the failure is counted and the loop backs off briefly
-               before accepting again. *)
-            Metrics.fault t.metrics ~kind:"accept";
-            Thread.delay 0.05
-        | fd, _ ->
-            (* both deadlines: a peer that stops *reading* must not wedge
-               a worker in a response write any more than a silent peer
-               may wedge it in a request read *)
-            (try
-               Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.timeout;
-               Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.timeout
-             with Unix.Unix_error _ -> ());
-            (* registration happens-before the worker runs: the id is
-               minted and the entry inserted while holding [workers_lock],
-               which the handler's remove-on-exit must also take — a
-               fast connection can no longer race its own registration
-               and leave a stale entry behind.  The same critical section
-               enforces the admission cap exactly: the table length can't
-               move between the check and the insert. *)
-            let admitted =
-              locked t.workers_lock (fun () ->
-                  if Hashtbl.length t.workers >= t.config.max_conns then false
-                  else begin
-                    let conn_id = t.next_conn in
-                    t.next_conn <- conn_id + 1;
-                    let worker =
-                      Thread.create (fun () -> handle_connection t ~conn_id fd) ()
-                    in
-                    Hashtbl.replace t.workers conn_id (worker, fd);
-                    true
-                  end)
-            in
-            if not admitted then begin
-              Metrics.fault t.metrics ~kind:"overload";
-              (try ignore (Wire.write_err fd "busy") with _ -> ());
-              try Unix.close fd with Unix.Unix_error _ -> ()
-            end)
-  done
 
 (* --- background compaction ---
 
@@ -804,7 +592,7 @@ let make_listeners config sa domain =
     raise e
 
 let start config index =
-  if config.acceptors < 0 then invalid_arg "Server.start: acceptors must be >= 0";
+  if config.acceptors < 1 then invalid_arg "Server.start: acceptors must be >= 1";
   if config.max_conns < 1 then invalid_arg "Server.start: max_conns must be >= 1";
   (* a peer that disconnects mid-response must not kill the process;
      the write surfaces as Sys_error/EPIPE and closes that connection *)
@@ -848,45 +636,38 @@ let start config index =
         listen_fds;
         ev = None;
         stop_flag = Atomic.make false;
-        workers = Hashtbl.create 16;
-        workers_lock = Mutex.create ();
-        next_conn = 0;
         writer = !writer;
         gc = !gc;
         started_at = Unix.gettimeofday ();
         inflight = Atomic.make 0;
         ingested_n = 0;
         compactions = 0;
-        accept_thread = None;
         compact_thread = None;
       }
     in
-    (if config.acceptors > 0 then begin
-       let listeners =
-         match listener_mode with
-         | `Per_loop -> Evloop.Per_loop (Array.of_list listen_fds)
-         | `Shared -> Evloop.Shared (List.hd listen_fds)
-       in
-       let ev_cfg =
-         {
-           Evloop.loops = config.acceptors;
-           workers = max 4 (2 * config.acceptors);
-           max_conns = config.max_conns;
-           max_line = config.max_request;
-           max_batch_lines;
-           idle_timeout_ns =
-             (if config.timeout > 0. then int_of_float (config.timeout *. 1e9) else 0);
-           io = config.io;
-           handler = (fun req -> ev_handle t req);
-           on_fault = (fun kind -> Metrics.fault t.metrics ~kind);
-           on_open = (fun () -> Metrics.connection_opened t.metrics);
-           on_close = (fun () -> Metrics.connection_closed t.metrics);
-         }
-       in
-       ev := Some (Evloop.start ev_cfg listeners);
-       t.ev <- !ev
-     end
-     else t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ()));
+    let listeners =
+      match listener_mode with
+      | `Per_loop -> Evloop.Per_loop (Array.of_list listen_fds)
+      | `Shared -> Evloop.Shared (List.hd listen_fds)
+    in
+    let ev_cfg =
+      {
+        Evloop.loops = config.acceptors;
+        workers = max 4 (2 * config.acceptors);
+        max_conns = config.max_conns;
+        max_line = config.max_request;
+        max_batch_lines;
+        idle_timeout_ns =
+          (if config.timeout > 0. then int_of_float (config.timeout *. 1e9) else 0);
+        io = config.io;
+        handler = (fun req -> handle t req);
+        on_fault = (fun kind -> Metrics.fault t.metrics ~kind);
+        on_open = (fun () -> Metrics.connection_opened t.metrics);
+        on_close = (fun () -> Metrics.connection_closed t.metrics);
+      }
+    in
+    ev := Some (Evloop.start ev_cfg listeners);
+    t.ev <- !ev;
     (match config.compact_every with
     | Some period when period > 0. ->
         t.compact_thread <- Some (Thread.create (fun () -> compact_loop t period) ())
@@ -914,28 +695,12 @@ let addr t = t.config.addr
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then begin
-    (match t.ev with
-    | Some g ->
-        (* event-loop mode: join the loop domains (closing every
-           connection) and drain the dispatch workers, then retire the
-           listeners.  In-flight ingests complete against the still-live
-           group-commit coordinator before it is stopped below. *)
-        Evloop.stop g;
-        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listen_fds
-    | None ->
-        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listen_fds;
-        (match t.accept_thread with Some th -> Thread.join th | None -> ()));
+    (* join the loop domains (closing every connection) and drain the
+       dispatch workers, then retire the listeners.  In-flight ingests
+       complete against the still-live group-commit coordinator. *)
+    Option.iter Evloop.stop t.ev;
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listen_fds;
     (match t.compact_thread with Some th -> Thread.join th | None -> ());
-    (* wake workers blocked in reads, then wait for them (legacy mode;
-       the table is never populated under an event loop) *)
-    let snapshot =
-      locked t.workers_lock (fun () ->
-          Hashtbl.fold (fun _ wt acc -> wt :: acc) t.workers [])
-    in
-    List.iter
-      (fun (_, fd) -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      snapshot;
-    List.iter (fun (th, _) -> Thread.join th) snapshot;
     (* workers are gone, so no submitter can race the final flush: stop
        the coordinator (flushing any pending window) before the writer
        closes underneath it *)
@@ -948,10 +713,5 @@ let stop t =
     | _ -> ()
   end
 
-let wait t = match t.accept_thread with Some th -> Thread.join th | None -> ()
 let ingested t = locked t.lock (fun () -> t.ingested_n)
-
-let worker_count t =
-  match t.ev with
-  | Some g -> Evloop.conn_count g
-  | None -> locked t.workers_lock (fun () -> Hashtbl.length t.workers)
+let worker_count t = match t.ev with Some g -> Evloop.conn_count g | None -> 0

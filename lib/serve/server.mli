@@ -1,24 +1,19 @@
 (** Concurrent triage query server.
 
-    Serves the {!Wire} protocol over a Unix or TCP socket, with two
-    connection front ends sharing one dispatch core:
+    Serves the {!Wire} protocol over a Unix or TCP socket through the
+    event-driven {!Evloop} front end: [acceptors] poll(2) loop domains
+    with per-connection state machines and a bounded dispatch worker
+    pool.  On TCP with [acceptors >= 2] each loop accepts on its own
+    SO_REUSEPORT listener; otherwise loop 0 distributes from a shared
+    listener.  Scales to thousands of concurrent connections (no
+    per-connection thread, no FD_SETSIZE ceiling).
 
-    - [acceptors > 0] (the CLI default): the event-driven {!Evloop}
-      front end — that many poll(2) loop domains with per-connection
-      state machines and a bounded dispatch worker pool.  On TCP with
-      [acceptors >= 2] each loop accepts on its own SO_REUSEPORT
-      listener; otherwise loop 0 distributes from a shared listener.
-      Scales to thousands of concurrent connections (no per-connection
-      thread, no FD_SETSIZE ceiling).
-    - [acceptors = 0]: the legacy path — one accept thread plus one
-      worker thread per connection (blocking reads with a receive
-      timeout).
-
-    Both paths enforce the [max_conns] admission cap (excess clients
+    The front end enforces the [max_conns] admission cap (excess clients
     get a one-line [err busy] and a [fault.overload] count, never a
-    hang), count transient accept(2) failures as [fault.accept] with a
-    brief backoff instead of silently dropping connections, use a
-    global lock around index state, and feed the same {!Metrics}.
+    hang), counts transient accept(2) failures as [fault.accept] with a
+    brief backoff instead of silently dropping connections, and feeds
+    the server's {!Metrics}; dispatch takes a global lock around index
+    state.
 
     Read-only queries ([topk], [pred], [affinity]) follow an
     epoch-snapshot read path: the lock is held only to fetch (or, after
@@ -45,15 +40,21 @@
     arrived in the window while keeping ack ⊆ fsynced.
 
     {!stop} is the graceful-shutdown path (the CLI wires it to SIGINT):
-    stop accepting, shut down open connections, join every worker, close
-    the durable writer. *)
+    stop accepting, close open connections, drain the dispatch workers,
+    close the durable writer. *)
 
 type t
 
 type config = {
   addr : Wire.addr;
-  timeout : float;  (** per-connection receive timeout, seconds *)
-  fsync : bool;  (** fsync the ingest log on every accepted record *)
+  timeout : float;
+      (** per-connection idle deadline, seconds, swept by the owning
+          loop: a connection that sends no request, or stops reading its
+          response, for this long is closed ([fault.timeout] /
+          [fault.send_timeout]); [<= 0] disables it *)
+  fsync : bool;
+      (** make every acknowledged report durable (inline or group-commit
+          fsync, see [group_commit_ms]) *)
   ingest_log : string option;
       (** shard-log directory for durable ingest; [None] disables the
           [ingest] command *)
@@ -94,27 +95,26 @@ type config = {
           and tail visibility are still released only after the covering
           fsync returns, so durable-before-visible and ack ⊆ fsynced are
           preserved exactly; only latency (up to the window) and fsync
-          count change.  [0.] (the default) keeps one inline fsync per
+          count change.  Default [2.].  [0.] keeps one inline fsync per
           ingest request — note that even then an [ingest-batch] request
           runs a single fsync barrier for the whole batch. *)
   max_batch : int;
       (** force a group-commit flush once this many reports are pending
           in the window (default 512) *)
   acceptors : int;
-      (** [> 0] selects the event-driven front end with this many
-          {!Evloop} loop domains; [0] (the library default) keeps the
-          thread-per-connection path.  The CLI defaults to 1. *)
+      (** {!Evloop} loop domains, [>= 1] (default 1: one loop on a
+          shared listener) *)
   max_conns : int;
-      (** exact connection admission cap (default 4096), enforced in
-          both modes: a client beyond it is accepted, answered
-          [err busy], closed, and counted as [fault.overload] *)
+      (** exact connection admission cap (default 4096): a client
+          beyond it is accepted, answered [err busy], closed, and
+          counted as [fault.overload] *)
 }
 
 val default_config : Wire.addr -> config
-(** 30s timeout, fsync on, no ingest log, 1 domain, [2^20]-cell parallel
-    cutoff, 1 MiB request bound, passthrough I/O, no background
-    compaction, no group commit (inline fsync per request),
-    thread-per-connection front end ([acceptors = 0]), 4096-connection
+(** What [cbi serve] runs: 30s idle deadline, fsync on, no ingest log,
+    1 domain, [2^20]-cell parallel cutoff, 1 MiB request bound,
+    passthrough I/O, no background compaction, 2 ms group-commit window
+    flushing at 512 pending reports, one event loop, 4096-connection
     cap. *)
 
 val max_batch_lines : int
@@ -122,26 +122,22 @@ val max_batch_lines : int
     batches are rejected whole, without dropping the connection. *)
 
 val start : config -> Sbi_index.Index.t -> t
-(** Bind, listen, and spawn the accept loop.  When [ingest_log] is set,
+(** Bind, listen, and spawn the event loops.  When [ingest_log] is set,
     opens a writer on a fresh shard (max existing shard + 1).
     @raise Unix.Unix_error when the address cannot be bound.
-    @raise Invalid_argument when the address does not resolve. *)
+    @raise Invalid_argument when the address does not resolve, or
+    [acceptors < 1] or [max_conns < 1]. *)
 
 val addr : t -> Wire.addr
 
 val stop : t -> unit
-(** Graceful shutdown; idempotent.  Returns once every worker has
-    exited and the ingest writer (if any) is closed. *)
-
-val wait : t -> unit
-(** Block until the server stops (joins the accept thread). *)
+(** Graceful shutdown; idempotent.  Returns once every loop and
+    dispatch worker has exited and the ingest writer (if any) is
+    closed. *)
 
 val ingested : t -> int
 (** Reports accepted over the wire since {!start}. *)
 
 val worker_count : t -> int
-(** Live connections.  Legacy mode counts registered connection workers
-    (registration happens before the worker thread can run and
-    deregistration is the worker's last act); event-loop mode counts
-    admitted connections.  Either way, after every client has
-    disconnected this drains to exactly zero — no stale entries. *)
+(** Live connections: admitted and not yet closed.  After every client
+    has disconnected this drains to exactly zero. *)

@@ -46,14 +46,15 @@ let write_string ?io fd s = write_fully ?io fd (Bytes.unsafe_of_string s) 0 (Str
 type reader = {
   r_fd : Unix.file_descr;
   r_io : Io.t option;
-  r_max : int;
   r_chunk : Bytes.t;
   mutable r_pos : int;
   mutable r_len : int;  (* valid bytes in r_chunk; -1 after EOF *)
 }
 
-let reader ?io ?(max_line = 1 lsl 20) fd =
-  { r_fd = fd; r_io = io; r_max = max_line; r_chunk = Bytes.create 8192; r_pos = 0; r_len = 0 }
+let max_line = 1 lsl 20
+
+let reader ?io fd =
+  { r_fd = fd; r_io = io; r_chunk = Bytes.create 8192; r_pos = 0; r_len = 0 }
 
 (* Pulls more bytes into the chunk; false at EOF. *)
 let rec refill r =
@@ -86,14 +87,14 @@ let read_line r =
       | Some i when i < r.r_len ->
           Buffer.add_subbytes buf r.r_chunk r.r_pos (i - r.r_pos);
           r.r_pos <- i + 1;
-          if Buffer.length buf > r.r_max then `Too_long
+          if Buffer.length buf > max_line then `Too_long
           else `Line (strip_cr (Buffer.contents buf))
       | _ ->
           Buffer.add_subbytes buf r.r_chunk r.r_pos (r.r_len - r.r_pos);
           r.r_pos <- r.r_len;
           (* bail before the next refill: an unterminated flood must not
              grow the buffer without bound *)
-          if Buffer.length buf > r.r_max then `Too_long else go ()
+          if Buffer.length buf > max_line then `Too_long else go ()
   in
   go ()
 
@@ -105,9 +106,9 @@ let unstuff line =
   if String.length line > 1 && line.[0] = '.' then String.sub line 1 (String.length line - 1)
   else line
 
-(* Rendering is split from writing so the event-loop front end can build
-   a response string once and let its write-buffer state machine drain it
-   across partial non-blocking writes. *)
+(* Responses are rendered to a string, not written: the event loop queues
+   it on a connection's write buffer and drains it across partial
+   non-blocking writes. *)
 let render_framed header lines =
   let buf = Buffer.create 256 in
   Buffer.add_string buf header;
@@ -122,14 +123,6 @@ let render_framed header lines =
 
 let render_ok ~header ~lines = render_framed ("ok " ^ header) lines
 let render_err msg = render_framed ("err " ^ msg) []
-
-let write_framed ?io fd header lines =
-  let s = render_framed header lines in
-  write_string ?io fd s;
-  String.length s
-
-let write_ok ?io fd ~header ~lines = write_framed ?io fd ("ok " ^ header) lines
-let write_err ?io fd msg = write_framed ?io fd ("err " ^ msg) []
 
 let read_response rd =
   let line () =

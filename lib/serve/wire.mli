@@ -13,12 +13,14 @@
     dot-stuffed ([".."] on the wire), so binary-free framing never
     ambiguates.
 
-    All I/O is file-descriptor based and partial-operation safe: writes
-    loop until every byte is accepted, reads are buffered, and [EINTR]
-    is always retried.  [EAGAIN]/[EWOULDBLOCK] — the kernel's way of
-    reporting an expired [SO_RCVTIMEO]/[SO_SNDTIMEO] deadline — raises
-    {!Timeout}.  Both sides optionally route through
-    {!Sbi_fault.Io} for fault injection. *)
+    The blocking I/O below is what clients use (the server's {!Evloop}
+    does its own non-blocking I/O and shares only the framing).  It is
+    file-descriptor based and partial-operation safe: writes loop until
+    every byte is accepted, reads are buffered, and [EINTR] is always
+    retried.  [EAGAIN]/[EWOULDBLOCK] — the kernel's way of reporting an
+    expired [SO_RCVTIMEO]/[SO_SNDTIMEO] deadline — raises {!Timeout}.
+    Reads and writes optionally route through {!Sbi_fault.Io} for fault
+    injection. *)
 
 type addr =
   | Unix_sock of string  (** filesystem socket path *)
@@ -49,9 +51,9 @@ val write_string : ?io:Sbi_fault.Io.t -> Unix.file_descr -> string -> unit
 (** Buffered line reader over a descriptor. *)
 type reader
 
-val reader : ?io:Sbi_fault.Io.t -> ?max_line:int -> Unix.file_descr -> reader
-(** [max_line] (default 1 MiB) bounds any single line: a peer that
-    streams an unterminated request cannot grow memory without bound. *)
+val reader : ?io:Sbi_fault.Io.t -> Unix.file_descr -> reader
+(** Any single line is bounded at 1 MiB: a peer that streams an
+    unterminated line cannot grow memory without bound. *)
 
 val read_line : reader -> [ `Line of string | `Eof | `Too_long ]
 (** Next [\n]-terminated line (terminator stripped, CR tolerated).
@@ -75,19 +77,14 @@ val render_framed : string -> string list -> string
 (** Render one framed response (header, stuffed payload lines, lone-dot
     terminator) to a string without writing it — the event-loop front
     end queues the result on a per-connection write buffer and drains it
-    across partial non-blocking writes. *)
+    across partial non-blocking writes; {!write_string} sends it on a
+    blocking descriptor. *)
 
 val render_ok : header:string -> lines:string list -> string
 (** [render_framed ("ok " ^ header) lines]. *)
 
 val render_err : string -> string
 (** [render_framed ("err " ^ msg) []]. *)
-
-val write_ok :
-  ?io:Sbi_fault.Io.t -> Unix.file_descr -> header:string -> lines:string list -> int
-(** Send one framed success response; returns bytes written. *)
-
-val write_err : ?io:Sbi_fault.Io.t -> Unix.file_descr -> string -> int
 
 val read_response : reader -> (string * string list, string) result
 (** Read one framed response: [Ok (header_rest, payload)] for an [ok]

@@ -248,6 +248,11 @@ let test_serve_slowlog_trace_cli () =
       in
       Alcotest.(check int) "--slow-ms -1: exit 2" 2 rc;
       check_contains "names the flag" "--slow-ms" err;
+      let rc, _, err =
+        run_cbi [ "serve"; idx; "-a"; Filename.concat tmp "x.sock"; "--acceptors"; "0" ]
+      in
+      Alcotest.(check int) "--acceptors 0: exit 2" 2 rc;
+      check_contains "names the flag" "--acceptors" err;
       (* serve with --slow-ms 0: every request lands in the slow-query log *)
       let sock = Filename.concat tmp "cbi.sock" in
       let errf = Filename.concat tmp "serve.err" in

@@ -233,7 +233,7 @@ let test_wire_benign_faults () =
     Thread.create
       (fun () ->
         for _ = 1 to 20 do
-          ignore (Wire.write_ok ~io a ~header:"bulk 40" ~lines:payload)
+          Wire.write_string ~io a (Wire.render_ok ~header:"bulk 40" ~lines:payload)
         done;
         Unix.close a)
       ()

@@ -6,6 +6,7 @@
 open Sbi_runtime
 open Sbi_ingest
 open Sbi_index
+open Sbi_store
 
 let mk_report ?(outcome = Report.Success) ?(sites = [||]) ?(preds = [||]) id =
   {

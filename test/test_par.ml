@@ -3,7 +3,7 @@
    references, and the load-bearing property — parallel snapshot builds
    and parallel elimination rescoring are bit-identical to sequential
    at any pool size. *)
-open Sbi_index
+open Sbi_store
 open Sbi_par
 
 (* --- domain pool --- *)
@@ -60,6 +60,27 @@ let test_pool_parallel_for () =
       Domain_pool.parallel_for pool ~n:1 (fun lo hi ->
           if lo = 0 && hi = 1 then hit := true);
       Alcotest.(check bool) "single element" true !hit)
+
+(* map_array fans out over every element: on a 2-domain pool, two
+   elements that each wait (at most 2 s) for the other to start must both
+   see it.  An element run on the caller before the fan-out would wait
+   out its deadline alone. *)
+let test_pool_map_array_overlap () =
+  let pool = Domain_pool.create ~clamp:false ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Domain_pool.shutdown pool)
+    (fun () ->
+      let started = Atomic.make 0 in
+      let saw_other _ =
+        Atomic.incr started;
+        let deadline = Unix.gettimeofday () +. 2. in
+        while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        Atomic.get started >= 2
+      in
+      Alcotest.(check (array bool)) "both elements overlap" [| true; true |]
+        (Domain_pool.map_array pool saw_other [| 0; 1 |]))
 
 let test_pool_exceptions () =
   let pool = Domain_pool.create ~clamp:false ~domains:2 () in
@@ -268,6 +289,7 @@ let suite =
     Alcotest.test_case "pool basics" `Quick test_pool_basics;
     Alcotest.test_case "domain clamp" `Quick test_pool_clamp;
     Alcotest.test_case "parallel_for" `Quick test_pool_parallel_for;
+    Alcotest.test_case "map_array overlaps elements" `Quick test_pool_map_array_overlap;
     Alcotest.test_case "task exceptions surface" `Quick test_pool_exceptions;
     Alcotest.test_case "shutdown idempotent" `Quick test_pool_shutdown_idempotent;
     Alcotest.test_case "bare submit errors counted" `Quick test_pool_task_errors;

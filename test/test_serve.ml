@@ -80,10 +80,9 @@ let test_wire_framing () =
       let path = Filename.concat dir "frame" in
       let payload = [ "plain"; ".starts with dot"; ""; "..double"; "last" ] in
       let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-      let n1 = Wire.write_ok fd ~header:"topk 5" ~lines:payload in
-      let n2 = Wire.write_err fd "boom" in
+      Wire.write_string fd (Wire.render_ok ~header:"topk 5" ~lines:payload);
+      Wire.write_string fd (Wire.render_err "boom");
       Unix.close fd;
-      Alcotest.(check bool) "bytes counted" true (n1 > 0 && n2 > 0);
       let fd = Unix.openfile path [ Unix.O_RDONLY ] 0o600 in
       let rd = Wire.reader fd in
       (match Wire.read_response rd with
@@ -215,13 +214,13 @@ let free_port () =
       | Unix.ADDR_INET (_, p) -> p
       | _ -> assert false)
 
-(* [acceptors = 0] is the legacy thread-per-connection path; [> 0] the
-   event-loop front end.  The lifecycle tests run under both so the two
-   paths stay behaviorally interchangeable.  [tcp] swaps the Unix socket
-   for a loopback TCP listener (needed to exercise the per-loop
-   SO_REUSEPORT listener mode, which does not apply to Unix sockets). *)
-let with_server ?(acceptors = 0) ?(max_conns = 4096) ?(tcp = false) ?(fsync = true)
-    ?(group_commit_ms = 0.) ?(timeout = 10.) f =
+(* A live server over the fixture index on [acceptors] event loops.  The
+   group-commit window defaults to [Server.default_config]'s — what
+   [cbi serve] runs.  [tcp] swaps the Unix socket for a loopback TCP
+   listener (needed to exercise the per-loop SO_REUSEPORT listener mode,
+   which does not apply to Unix sockets). *)
+let with_server ~acceptors ?(max_conns = 4096) ?(tcp = false) ?(fsync = true)
+    ?group_commit_ms ?(timeout = 10.) f =
   with_temp_dir (fun tmp ->
       let log = Filename.concat tmp "log" in
       let idx_dir = Filename.concat tmp "idx" in
@@ -237,13 +236,14 @@ let with_server ?(acceptors = 0) ?(max_conns = 4096) ?(tcp = false) ?(fsync = tr
         else Wire.Unix_sock (Filename.concat tmp "sock")
       in
       let ingest_dir = Filename.concat tmp "ingest" in
+      let base = Server.default_config addr in
       let config =
         {
-          (Server.default_config addr) with
+          base with
           Server.timeout;
           fsync;
           ingest_log = Some ingest_dir;
-          group_commit_ms;
+          group_commit_ms = Option.value group_commit_ms ~default:base.Server.group_commit_ms;
           acceptors;
           max_conns;
         }
@@ -346,8 +346,10 @@ let test_server_obs_commands ~acceptors () =
       | Ok _ -> Alcotest.fail "bad trace count must err");
       Client.close c)
 
+(* Group commit off: the one fsync-on test that drives the inline
+   per-request durability barrier. *)
 let test_server_ingest_durable ~acceptors () =
-  with_server ~acceptors (fun ~srv ~addr ~idx ~ingest_dir ->
+  with_server ~acceptors ~group_commit_ms:0. (fun ~srv ~addr ~idx ~ingest_dir ->
       let c = connect_ok addr in
       let fresh =
         mk_report ~outcome:Report.Failure ~sites:[| 0; 2 |] ~preds:[| 0; 4 |] 1000
@@ -549,11 +551,9 @@ let test_server_group_commit ~acceptors () =
       | None -> Alcotest.fail "stats missing gc.reports");
       Client.close c)
 
-let test_worker_table_drains ~acceptors () =
-  (* the regression: workers were registered after Thread.create, so a
-     fast connection could deregister before registration and leave a
-     stale entry forever.  Churn many short-lived connections and
-     require the table to drain to exactly zero. *)
+let test_conn_gauge_drains ~acceptors () =
+  (* churn many short-lived connections and require the connection
+     gauge to drain to exactly zero: no admission slot may leak *)
   with_server ~acceptors (fun ~srv ~addr ~idx:_ ~ingest_dir:_ ->
       let failures = Atomic.make 0 in
       for _ = 1 to 3 do
@@ -571,7 +571,7 @@ let test_worker_table_drains ~acceptors () =
         List.iter Thread.join threads
       done;
       Alcotest.(check int) "no client failures" 0 (Atomic.get failures);
-      (* deregistration is the worker's last act; poll briefly *)
+      (* a loop closes a connection after the client hangs up; poll briefly *)
       let rec poll tries =
         let n = Server.worker_count srv in
         if n = 0 || tries = 0 then n
@@ -580,13 +580,13 @@ let test_worker_table_drains ~acceptors () =
           poll (tries - 1)
         end
       in
-      Alcotest.(check int) "worker table drains to zero" 0 (poll 250))
+      Alcotest.(check int) "connection gauge drains to zero" 0 (poll 250))
 
 let test_send_deadline ~acceptors () =
   (* a peer that pipelines requests and never reads a byte back: once the
-     socket buffers fill, the response write must hit the kernel send
-     deadline and be counted as fault.send_timeout — not wedge the worker
-     forever *)
+     socket buffers fill, its pending response must hit the loop's idle
+     deadline and be counted as fault.send_timeout — not hold the
+     connection forever *)
   with_server ~acceptors ~timeout:0.4 (fun ~srv:_ ~addr ~idx:_ ~ingest_dir:_ ->
       let sock =
         match addr with Wire.Unix_sock p -> p | _ -> Alcotest.fail "unix fixture"
@@ -702,8 +702,13 @@ let test_start_failure_releases_resources () =
       | exception _ -> ());
       Alcotest.(check int) "no fd leaked by the failed start" fds_before (count_fds ());
       Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock);
-      (* the address is immediately reusable with a sane config *)
       let config_ok = { config with Server.ingest_log = Some (Filename.concat tmp "ingest") } in
+      (match Server.start { config_ok with Server.acceptors = 0 } idx with
+      | srv ->
+          Server.stop srv;
+          Alcotest.fail "start with no event loop must raise"
+      | exception Invalid_argument _ -> ());
+      (* the address is immediately reusable with a sane config *)
       let srv = Server.start config_ok idx in
       let c = connect_ok (Wire.Unix_sock sock) in
       let header, _ = request_ok c "ping" in
@@ -737,7 +742,6 @@ let test_server_shutdown ~acceptors () =
       ignore (request_ok c "ping");
       Server.stop srv;
       Server.stop srv;
-      Server.wait srv;
       Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock);
       (match Client.connect ~retry:Sbi_fault.Retry.no_retry (Wire.Unix_sock sock) with
       | Ok _ -> Alcotest.fail "connect after stop must fail"
@@ -751,9 +755,9 @@ let test_server_shutdown ~acceptors () =
 
 (* --- connection-scale regressions (ISSUE 10) --- *)
 
-(* Pipelined requests: several complete lines land in one read.  Both
-   front ends must answer each in order; the event loop keeps leftover
-   buffered lines flowing without waiting for new socket data. *)
+(* Pipelined requests: several complete lines land in one read.  The
+   server must answer each in order, keeping leftover buffered lines
+   flowing without waiting for new socket data. *)
 let test_pipelined ~acceptors () =
   with_server ~acceptors (fun ~srv:_ ~addr ~idx:_ ~ingest_dir:_ ->
       let fd = raw_connect addr in
@@ -833,11 +837,10 @@ let test_max_conns_cap ~acceptors () =
       Client.close c;
       List.iteri (fun i c -> if i > 0 then Client.close c) admitted)
 
-(* Accept-loop error discrimination: drive accept(2) into EMFILE by
-   exhausting the process fd table.  The old loop treated every accept
-   error as fatal and silently stopped serving; now the failure is
-   transient — counted as fault.accept, backed off — and the client
-   parked in the backlog is served once descriptors return. *)
+(* Accept error discrimination: drive accept(2) into EMFILE by
+   exhausting the process fd table.  The failure is transient — counted
+   as fault.accept, the listener backed off — and the client parked in
+   the backlog is served once descriptors return. *)
 let test_accept_error_recovery ~acceptors () =
   with_server ~acceptors (fun ~srv:_ ~addr ~idx:_ ~ingest_dir:_ ->
       let sock =
@@ -895,8 +898,8 @@ let test_accept_error_recovery ~acceptors () =
 
 (* Every select(2) on a real socket is gone: the poll primitives, the
    client's connect deadline, the group-commit flusher's self-pipe wait,
-   and both server front ends must all work on descriptors past 1024 —
-   where Unix.select would reject or corrupt its fd sets. *)
+   and the server on one and two loops must all work on descriptors past
+   1024 — where Unix.select would reject or corrupt its fd sets. *)
 let test_poll_beyond_1024 () =
   let soft0, hard = Evloop.nofile_limit () in
   let want = 1500 in
@@ -945,7 +948,7 @@ let test_poll_beyond_1024 () =
                 ignore (request_ok c "topk 3");
                 Alcotest.(check int) "ingested" 1 (Server.ingested srv);
                 Client.close c))
-          [ 0; 1 ])
+          [ 1; 2 ])
   end
 
 (* The ISSUE 10 acceptance gate: >= 2000 connections held open
@@ -1111,9 +1114,12 @@ let test_connection_churn () =
             stats;
           Client.close c))
 
+(* Each lifecycle test runs on one event loop — the CLI default, a shared
+   listener with no fd hand-off — and on two, where loop 0 hands every
+   other accepted fd to its peer ([Adopt]). *)
 let dual name f =
   [
-    Alcotest.test_case (name ^ " (threads)") `Quick (f ~acceptors:0);
+    Alcotest.test_case (name ^ " (one-loop)") `Quick (f ~acceptors:1);
     Alcotest.test_case (name ^ " (evloop)") `Quick (f ~acceptors:2);
   ]
 
@@ -1134,7 +1140,7 @@ let suite =
   @ dual "batched ingest" test_server_ingest_batch
   @ dual "group-commit ingest" test_server_group_commit
   @ dual "concurrent clients" test_server_concurrent_clients
-  @ dual "connection gauge drains after churn" test_worker_table_drains
+  @ dual "connection gauge drains after churn" test_conn_gauge_drains
   @ dual "send deadline on stalled peer" test_send_deadline
   @ dual "clean quit is not a fault" test_quit_is_not_a_fault
   @ dual "pipelined requests" test_pipelined
