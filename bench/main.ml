@@ -140,6 +140,20 @@ let runtime_tests () =
 
 (* --- ingestion-pipeline micro-benchmarks --- *)
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* A temporary directory that lives until the process exits: for the
+   inputs of bechamel tests, which run long after their builder returns. *)
+let temp_dir_until_exit suffix =
+  let dir = Filename.temp_dir "sbi_bench" suffix in
+  at_exit (fun () -> try rm_rf dir with Sys_error _ -> ());
+  dir
+
 let with_temp_log f =
   let dir = Filename.temp_file "sbi_bench_log" "" in
   Sys.remove dir;
@@ -154,7 +168,7 @@ let ingest_tests () =
   let moss = moss () in
   let ds = moss.Harness.dataset in
   let encoded = Array.map Sbi_ingest.Codec.encode ds.Sbi_runtime.Dataset.runs in
-  let log_dir = Filename.temp_dir "sbi_bench" ".log" in
+  let log_dir = temp_dir_until_exit ".log" in
   ignore (Sbi_ingest.Shard_log.write_dataset ~dir:log_dir ~shards:4 ds);
   [
     Test.make ~name:"codec:encode-corpus"
@@ -175,9 +189,9 @@ let ingest_tests () =
 let index_tests () =
   let moss = moss () in
   let ds = moss.Harness.dataset in
-  let log_dir = Filename.temp_dir "sbi_bench" ".log" in
+  let log_dir = temp_dir_until_exit ".log" in
   ignore (Sbi_ingest.Shard_log.write_dataset ~dir:log_dir ~shards:4 ds);
-  let idx_dir = Filename.temp_dir "sbi_bench" ".idx" in
+  let idx_dir = temp_dir_until_exit ".idx" in
   Array.iter (fun n -> Sys.remove (Filename.concat idx_dir n)) (Sys.readdir idx_dir);
   ignore (Sbi_index.Index.build ~log:log_dir ~dir:idx_dir ());
   let idx = Sbi_index.Index.open_ ~dir:idx_dir in
@@ -298,45 +312,49 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 let connect_exn addr =
   match Sbi_serve.Client.connect addr with
   | Ok c -> c
   | Error e -> failwith ("bench connect failed: " ^ e)
 
-let build_synth_ctx ~nruns =
+(* [with_synth_ctx ~nruns f] builds the corpus, runs [f] on it and then
+   removes its log and index directories. *)
+let with_synth_ctx ~nruns f =
   let nsites = 120 and npreds = 360 in
   let pred_site = Array.init npreds (fun p -> p / 3) in
   let meta = Sbi_runtime.Dataset.of_tables ~nsites ~npreds ~pred_site [||] in
   let st = Random.State.make [| 0x5b1 |] in
   let log_dir = Filename.temp_dir "sbi_bench" ".biglog" in
-  Sbi_ingest.Shard_log.write_meta ~dir:log_dir meta;
-  let shards = 4 in
-  let writers =
-    Array.init shards (fun shard -> Sbi_ingest.Shard_log.create_writer ~dir:log_dir ~shard ())
-  in
-  let reports = Array.init nruns (fun id -> synth_report st ~nsites ~npreds ~pred_site id) in
-  Array.iteri (fun id r -> Sbi_ingest.Shard_log.append writers.(id mod shards) r) reports;
-  Array.iter (fun w -> ignore (Sbi_ingest.Shard_log.close_writer w)) writers;
   let idx_dir = Filename.temp_dir "sbi_bench" ".bigidx" in
-  Array.iter (fun n -> Sys.remove (Filename.concat idx_dir n)) (Sys.readdir idx_dir);
-  let build_stats, build_dt = time (fun () -> Sbi_index.Index.build ~log:log_dir ~dir:idx_dir ()) in
-  {
-    sy_nruns = nruns;
-    sy_shards = shards;
-    sy_log_dir = log_dir;
-    sy_idx_dir = idx_dir;
-    sy_reports = reports;
-    sy_meta = meta;
-    sy_build_dt = build_dt;
-    sy_build_stats = build_stats;
-  }
+  Fun.protect
+    ~finally:(fun () ->
+      try
+        rm_rf log_dir;
+        rm_rf idx_dir
+      with Sys_error _ -> ())
+    (fun () ->
+      Sbi_ingest.Shard_log.write_meta ~dir:log_dir meta;
+      let shards = 4 in
+      let writers =
+        Array.init shards (fun shard -> Sbi_ingest.Shard_log.create_writer ~dir:log_dir ~shard ())
+      in
+      let reports = Array.init nruns (fun id -> synth_report st ~nsites ~npreds ~pred_site id) in
+      Array.iteri (fun id r -> Sbi_ingest.Shard_log.append writers.(id mod shards) r) reports;
+      Array.iter (fun w -> ignore (Sbi_ingest.Shard_log.close_writer w)) writers;
+      let build_stats, build_dt =
+        time (fun () -> Sbi_index.Index.build ~log:log_dir ~dir:idx_dir ())
+      in
+      f
+        {
+          sy_nruns = nruns;
+          sy_shards = shards;
+          sy_log_dir = log_dir;
+          sy_idx_dir = idx_dir;
+          sy_reports = reports;
+          sy_meta = meta;
+          sy_build_dt = build_dt;
+          sy_build_stats = build_stats;
+        })
 
 (* Shard order interleaves run ids round-robin; the reference dataset must
    present runs in the order the merged index sees them. *)
@@ -659,12 +677,12 @@ let ingest_check () =
   Printf.printf
     "ingest-check: batched group-commit vs single-RPC ingest, fsync on, %d interleaved pairs\n%!"
     ingest_check_pairs;
-  let ctx = build_synth_ctx ~nruns:2_000 in
   let ratios =
-    Array.init ingest_check_pairs (fun i ->
-        Printf.printf "pair %d/%d: %!" (i + 1) ingest_check_pairs;
-        let entries = ingest_throughput ctx in
-        List.assoc "ingest:single" entries /. Float.max (List.assoc "ingest:batch" entries) 1e-9)
+    with_synth_ctx ~nruns:2_000 (fun ctx ->
+        Array.init ingest_check_pairs (fun i ->
+            Printf.printf "pair %d/%d: %!" (i + 1) ingest_check_pairs;
+            let entries = ingest_throughput ctx in
+            List.assoc "ingest:single" entries /. Float.max (List.assoc "ingest:batch" entries) 1e-9))
   in
   let ratio = Sbi_util.Stats.median ratios in
   let lo = Array.fold_left Float.min infinity ratios
@@ -736,7 +754,9 @@ let conn_throughput ?(clients = 200) ctx =
     let idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
     let srv = Sbi_serve.Server.start config idx in
     Fun.protect
-      ~finally:(fun () -> Sbi_serve.Server.stop srv)
+      ~finally:(fun () ->
+        Sbi_serve.Server.stop srv;
+        rm_rf log_dir)
       (fun () -> f (Sbi_serve.Wire.Unix_sock sock))
   in
   let check_batch = function
@@ -856,8 +876,9 @@ let conn_throughput ?(clients = 200) ctx =
    `make bench-check`. *)
 let conn_check () =
   Printf.printf "conn-check: 1000 concurrent connections vs one, batched ingest, fsync on\n%!";
-  let ctx = build_synth_ctx ~nruns:2_000 in
-  let entries, clients, dropped, fault_lines = conn_throughput ~clients:1000 ctx in
+  let entries, clients, dropped, fault_lines =
+    with_synth_ctx ~nruns:2_000 (conn_throughput ~clients:1000)
+  in
   let single = List.assoc "conn:single" entries
   and fleet = List.assoc "conn:fleet" entries in
   let ratio = single /. Float.max fleet 1e-9 in
@@ -891,48 +912,48 @@ let conn_check () =
 let par_check () =
   let nruns = min synth_nruns 3_000 in
   Printf.printf "par-check: %d-run synthetic corpus, pools of 2 and 4 domains\n%!" nruns;
-  let ctx = build_synth_ctx ~nruns in
-  let ds = synth_dataset ctx in
   let ok = ref true in
-  let check what cond =
-    if cond then Printf.printf "  ok: %s\n%!" what
-    else begin
-      ok := false;
-      Printf.printf "  DIVERGED: %s\n%!" what
-    end
-  in
-  List.iter
-    (fun domains ->
-      (* clamp:false — the correctness property must exercise real
-         cross-domain chunk claiming and stealing even on a host with
-         fewer cores than the requested pool size *)
-      let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains () in
-      Fun.protect
-        ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-        (fun () ->
-          let idx = Sbi_index.Index.open_par ~pool ~dir:ctx.sy_idx_dir in
-          let seq_idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
-          check
-            (Printf.sprintf "topk (%d domains)" domains)
-            (Sbi_index.Triage.topk ~k:20 idx = Sbi_index.Triage.topk ~k:20 seq_idx);
-          List.iter
-            (fun (discard, name) ->
-              let par = Sbi_index.Triage.eliminate ~pool ~discard idx in
-              let seq = Sbi_index.Triage.eliminate ~discard seq_idx in
-              let reference = Sbi_core.Eliminate.run ~discard ds in
-              check (Printf.sprintf "eliminate %s (%d domains)" name domains)
-                (par = seq && par = reference))
-            [
-              (Sbi_core.Eliminate.Discard_all_true, "discard-all-true");
-              (Sbi_core.Eliminate.Discard_failing_true, "discard-failing-true");
-              (Sbi_core.Eliminate.Relabel_failing, "relabel-failing");
-            ];
-          let retained = Sbi_core.Prune.retained (Sbi_index.Triage.counts seq_idx) in
-          check
-            (Printf.sprintf "affinity (%d domains)" domains)
-            (Sbi_index.Triage.affinity ~pool idx ~selected:17 ~others:retained
-            = Sbi_index.Triage.affinity seq_idx ~selected:17 ~others:retained)))
-    [ 2; 4 ];
+  with_synth_ctx ~nruns (fun ctx ->
+      let ds = synth_dataset ctx in
+      let check what cond =
+        if cond then Printf.printf "  ok: %s\n%!" what
+        else begin
+          ok := false;
+          Printf.printf "  DIVERGED: %s\n%!" what
+        end
+      in
+      List.iter
+        (fun domains ->
+          (* clamp:false — the correctness property must exercise real
+             cross-domain chunk claiming and stealing even on a host with
+             fewer cores than the requested pool size *)
+          let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains () in
+          Fun.protect
+            ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
+            (fun () ->
+              let idx = Sbi_index.Index.open_par ~pool ~dir:ctx.sy_idx_dir in
+              let seq_idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
+              check
+                (Printf.sprintf "topk (%d domains)" domains)
+                (Sbi_index.Triage.topk ~k:20 idx = Sbi_index.Triage.topk ~k:20 seq_idx);
+              List.iter
+                (fun (discard, name) ->
+                  let par = Sbi_index.Triage.eliminate ~pool ~discard idx in
+                  let seq = Sbi_index.Triage.eliminate ~discard seq_idx in
+                  let reference = Sbi_core.Eliminate.run ~discard ds in
+                  check (Printf.sprintf "eliminate %s (%d domains)" name domains)
+                    (par = seq && par = reference))
+                [
+                  (Sbi_core.Eliminate.Discard_all_true, "discard-all-true");
+                  (Sbi_core.Eliminate.Discard_failing_true, "discard-failing-true");
+                  (Sbi_core.Eliminate.Relabel_failing, "relabel-failing");
+                ];
+              let retained = Sbi_core.Prune.retained (Sbi_index.Triage.counts seq_idx) in
+              check
+                (Printf.sprintf "affinity (%d domains)" domains)
+                (Sbi_index.Triage.affinity ~pool idx ~selected:17 ~others:retained
+                = Sbi_index.Triage.affinity seq_idx ~selected:17 ~others:retained)))
+        [ 2; 4 ]);
   if !ok then begin
     Printf.printf "par-check OK: parallel results bit-identical to sequential\n";
     exit 0
@@ -1000,8 +1021,7 @@ let fault_overhead ctx =
 let fault_check () =
   let nruns = min synth_nruns 3_000 in
   Printf.printf "fault-check: %d-run synthetic corpus, passthrough vs quiet injector\n%!" nruns;
-  let ctx = build_synth_ctx ~nruns in
-  let _, pairs = fault_overhead ctx in
+  let _, pairs = with_synth_ctx ~nruns fault_overhead in
   let max_pct = 2.0 and slack_s = 2e-3 in
   let ok =
     List.for_all
@@ -1080,8 +1100,7 @@ let obs_overhead ctx =
 let obs_check () =
   let nruns = min synth_nruns 3_000 in
   Printf.printf "obs-check: %d-run synthetic corpus, instrumented vs disabled\n%!" nruns;
-  let ctx = build_synth_ctx ~nruns in
-  let _, pairs = obs_overhead ctx in
+  let _, pairs = with_synth_ctx ~nruns obs_overhead in
   let max_pct = 2.0 and slack_s = 2e-3 in
   let ok =
     List.for_all
@@ -1168,8 +1187,7 @@ let sbfl_check () =
   let nruns = min synth_nruns 3_000 in
   Printf.printf "sbfl-check: %d-run synthetic corpus, hard-coded vs pluggable ranking\n%!"
     nruns;
-  let ctx = build_synth_ctx ~nruns in
-  let _, pairs, identical = sbfl_overhead ctx in
+  let _, pairs, identical = with_synth_ctx ~nruns sbfl_overhead in
   let max_pct = 2.0 and slack_s = 2e-3 in
   let ok =
     List.for_all
@@ -1279,6 +1297,25 @@ let topk_after_append ctx =
   Printf.printf "topk after append (%d-run index + %d-report tail, 100 rounds): median %.3f ms\n"
     n (Sbi_index.Index.tail_count idx) (dt *. 1e3);
   [ ("index:topk-after-append", dt *. 1e9) ]
+
+(* A cold analysis as a fresh process meets it: a new [Index.open_]
+   (empty posting cache) and [Triage.analyze] on the synthetic corpus,
+   timed together, with the number of postings the analysis loaded. *)
+let analyze_cold ctx =
+  let (idx, a), dt =
+    time (fun () ->
+        let idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
+        (idx, Sbi_index.Triage.analyze idx))
+  in
+  Printf.printf
+    "cold open + analysis (%d runs, %d segments): %.1f ms, %d postings loaded for %d retained \
+     predicates\n"
+    ctx.sy_nruns
+    (Array.length idx.Sbi_index.Index.segments)
+    (dt *. 1e3)
+    (Sbi_index.Index.cache_stats idx).Sbi_store.Lru.misses
+    (List.length a.Sbi_index.Triage.retained);
+  [ ("index:analyze-cold", dt *. 1e9) ]
 
 let run_scale ~runs =
   let log_dir = Filename.temp_dir "sbi_bench" ".scalelog" in
@@ -1465,7 +1502,6 @@ let speedup_check () =
     "speedup-check: %d-run reference corpus, %d hardware domain(s) -> %s gate\n%!"
     speedup_runs cores
     (if full_gate then "full 2x-speedup" else "no-regression (need >= 4 cores for 2x)");
-  let ctx = build_synth_ctx ~nruns:speedup_runs in
   let ok = ref true in
   let gate what cond detail =
     if cond then Printf.printf "  ok: %s (%s)\n%!" what detail
@@ -1474,78 +1510,79 @@ let speedup_check () =
       Printf.printf "  FAILED: %s (%s)\n%!" what detail
     end
   in
-  let reps = 3 in
-  let seq_idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
-  ignore (Sbi_index.Index.snapshot seq_idx);
-  let seq_res = Sbi_index.Triage.analyze seq_idx in
-  let seq_dt = best_of reps (fun () -> ignore (Sbi_index.Triage.analyze seq_idx)) in
-  Printf.printf "  eliminate seq: %.1f ms\n%!" (seq_dt *. 1e3);
-  List.iter
-    (fun domains ->
-      let pool = Sbi_par.Domain_pool.create ~domains () in
-      Fun.protect
-        ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-        (fun () ->
-          let idx = Sbi_index.Index.open_par ~pool ~dir:ctx.sy_idx_dir in
-          ignore (Sbi_index.Index.snapshot idx);
-          let res = Sbi_index.Triage.analyze ~pool idx in
-          gate
-            (Printf.sprintf "eliminate:d%d bit-identical to seq" domains)
-            (res = seq_res) "rankings, counts, elimination trace";
-          let dt = best_of reps (fun () -> ignore (Sbi_index.Triage.analyze ~pool idx)) in
-          let speedup = seq_dt /. Float.max dt 1e-9 in
-          Printf.printf "  eliminate d%d (eff %d): %.1f ms (%.2fx vs seq)\n%!" domains
-            (Sbi_par.Domain_pool.size pool) (dt *. 1e3) speedup;
-          if full_gate then
-            gate
-              (Printf.sprintf "eliminate:d%d > seq" domains)
-              (speedup > 1.0)
-              (Printf.sprintf "%.2fx" speedup)
-          else
-            gate
-              (Printf.sprintf "eliminate:d%d does not regress vs seq" domains)
-              (dt <= (seq_dt *. 1.15) +. 0.002)
-              (Printf.sprintf "%.1f ms vs %.1f ms seq" (dt *. 1e3) (seq_dt *. 1e3));
-          if full_gate && domains = 4 then
-            gate "eliminate:d4 >= 2x seq" (speedup >= 2.0) (Printf.sprintf "%.2fx" speedup)))
-    [ 2; 4 ];
-  (* serve read path: topk latency must not rise with --domains *)
-  let serve_lat domains =
-    let sock = Filename.temp_file "sbi_bench" ".sock" in
-    Sys.remove sock;
-    let config =
-      {
-        (Sbi_serve.Server.default_config (Sbi_serve.Wire.Unix_sock sock)) with
-        Sbi_serve.Server.fsync = false;
-        domains;
-      }
-    in
-    let idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
-    let srv = Sbi_serve.Server.start config idx in
-    let nclients = 4 and per_client = 50 in
-    let worker () =
-      let client = connect_exn (Sbi_serve.Wire.Unix_sock sock) in
-      for _ = 1 to per_client do
-        match Sbi_serve.Client.request client "topk 10" with
-        | Ok _ -> ()
-        | Error e -> failwith ("speedup-check query failed: " ^ e)
-      done;
-      Sbi_serve.Client.close client
-    in
-    let round () =
-      let threads = Array.init nclients (fun _ -> Thread.create worker ()) in
-      Array.iter Thread.join threads
-    in
-    let dt = best_of 2 round in
-    Sbi_serve.Server.stop srv;
-    dt /. float_of_int (nclients * per_client)
-  in
-  let d1 = serve_lat 1 in
-  let d4 = serve_lat 4 in
-  Printf.printf "  serve topk: d1 %.3f ms/req, d4 %.3f ms/req\n%!" (d1 *. 1e3) (d4 *. 1e3);
-  gate "serve:topk:d4 no worse than d1"
-    (d4 <= (d1 *. 1.15) +. 0.0002)
-    (Printf.sprintf "%.3f ms vs %.3f ms" (d4 *. 1e3) (d1 *. 1e3));
+  with_synth_ctx ~nruns:speedup_runs (fun ctx ->
+      let reps = 3 in
+      let seq_idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
+      ignore (Sbi_index.Index.snapshot seq_idx);
+      let seq_res = Sbi_index.Triage.analyze seq_idx in
+      let seq_dt = best_of reps (fun () -> ignore (Sbi_index.Triage.analyze seq_idx)) in
+      Printf.printf "  eliminate seq: %.1f ms\n%!" (seq_dt *. 1e3);
+      List.iter
+        (fun domains ->
+          let pool = Sbi_par.Domain_pool.create ~domains () in
+          Fun.protect
+            ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
+            (fun () ->
+              let idx = Sbi_index.Index.open_par ~pool ~dir:ctx.sy_idx_dir in
+              ignore (Sbi_index.Index.snapshot idx);
+              let res = Sbi_index.Triage.analyze ~pool idx in
+              gate
+                (Printf.sprintf "eliminate:d%d bit-identical to seq" domains)
+                (res = seq_res) "rankings, counts, elimination trace";
+              let dt = best_of reps (fun () -> ignore (Sbi_index.Triage.analyze ~pool idx)) in
+              let speedup = seq_dt /. Float.max dt 1e-9 in
+              Printf.printf "  eliminate d%d (eff %d): %.1f ms (%.2fx vs seq)\n%!" domains
+                (Sbi_par.Domain_pool.size pool) (dt *. 1e3) speedup;
+              if full_gate then
+                gate
+                  (Printf.sprintf "eliminate:d%d > seq" domains)
+                  (speedup > 1.0)
+                  (Printf.sprintf "%.2fx" speedup)
+              else
+                gate
+                  (Printf.sprintf "eliminate:d%d does not regress vs seq" domains)
+                  (dt <= (seq_dt *. 1.15) +. 0.002)
+                  (Printf.sprintf "%.1f ms vs %.1f ms seq" (dt *. 1e3) (seq_dt *. 1e3));
+              if full_gate && domains = 4 then
+                gate "eliminate:d4 >= 2x seq" (speedup >= 2.0) (Printf.sprintf "%.2fx" speedup)))
+        [ 2; 4 ];
+      (* serve read path: topk latency must not rise with --domains *)
+      let serve_lat domains =
+        let sock = Filename.temp_file "sbi_bench" ".sock" in
+        Sys.remove sock;
+        let config =
+          {
+            (Sbi_serve.Server.default_config (Sbi_serve.Wire.Unix_sock sock)) with
+            Sbi_serve.Server.fsync = false;
+            domains;
+          }
+        in
+        let idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
+        let srv = Sbi_serve.Server.start config idx in
+        let nclients = 4 and per_client = 50 in
+        let worker () =
+          let client = connect_exn (Sbi_serve.Wire.Unix_sock sock) in
+          for _ = 1 to per_client do
+            match Sbi_serve.Client.request client "topk 10" with
+            | Ok _ -> ()
+            | Error e -> failwith ("speedup-check query failed: " ^ e)
+          done;
+          Sbi_serve.Client.close client
+        in
+        let round () =
+          let threads = Array.init nclients (fun _ -> Thread.create worker ()) in
+          Array.iter Thread.join threads
+        in
+        let dt = best_of 2 round in
+        Sbi_serve.Server.stop srv;
+        dt /. float_of_int (nclients * per_client)
+      in
+      let d1 = serve_lat 1 in
+      let d4 = serve_lat 4 in
+      Printf.printf "  serve topk: d1 %.3f ms/req, d4 %.3f ms/req\n%!" (d1 *. 1e3) (d4 *. 1e3);
+      gate "serve:topk:d4 no worse than d1"
+        (d4 <= (d1 *. 1.15) +. 0.0002)
+        (Printf.sprintf "%.3f ms vs %.3f ms" (d4 *. 1e3) (d1 *. 1e3)));
   if !ok then begin
     Printf.printf "speedup-check OK\n";
     exit 0
@@ -1628,37 +1665,43 @@ let () =
   Printf.eprintf "[bench] timing parallel vs sequential collection...\n%!";
   print_collection_scaling ();
   Printf.eprintf "[bench] building %d-run synthetic corpus...\n%!" synth_nruns;
-  let ctx = build_synth_ctx ~nruns:synth_nruns in
-  Printf.eprintf "[bench] timing index build and indexed vs rescan top-k...\n%!";
-  print_index_scaling ctx;
-  Printf.eprintf "[bench] timing topk right after an append on a 10000-report tail...\n%!";
-  let append_entries = topk_after_append ctx in
-  Printf.eprintf "[bench] timing sequential vs parallel elimination...\n%!";
-  let par_entries, par_ok = par_elimination_scaling ctx in
-  Printf.eprintf "[bench] timing server throughput at 1/2/4/8 domains...\n%!";
-  let serve_entries = par_server_scaling ctx in
-  Printf.eprintf "[bench] timing single-RPC vs batched group-commit ingest...\n%!";
-  let ingest_entries = ingest_throughput ctx in
-  Printf.eprintf "[bench] timing the event-loop front end under a 200-connection fleet...\n%!";
-  let conn_entries, _, conn_dropped, conn_faults = conn_throughput ctx in
-  if conn_dropped > 0 || conn_faults <> [] then
-    Printf.eprintf "[bench] WARNING: conn fleet dropped %d requests (%s)\n%!" conn_dropped
-      (String.concat ", " conn_faults);
-  Printf.eprintf "[bench] timing fault-layer passthrough overhead...\n%!";
-  let fault_entries, _ = fault_overhead ctx in
-  Printf.eprintf "[bench] timing observability-layer overhead...\n%!";
-  let obs_entries, _ = obs_overhead ctx in
-  Printf.eprintf "[bench] timing per-formula topk and sbfl dispatch overhead...\n%!";
-  let sbfl_entries, _, _ = sbfl_overhead ctx in
+  let synth_entries, par_ok =
+    with_synth_ctx ~nruns:synth_nruns (fun ctx ->
+        Printf.eprintf "[bench] timing index build and indexed vs rescan top-k...\n%!";
+        print_index_scaling ctx;
+        Printf.eprintf "[bench] timing topk right after an append on a 10000-report tail...\n%!";
+        let append_entries = topk_after_append ctx in
+        Printf.eprintf "[bench] timing a cold open + analysis...\n%!";
+        let cold_entries = analyze_cold ctx in
+        Printf.eprintf "[bench] timing sequential vs parallel elimination...\n%!";
+        let par_entries, par_ok = par_elimination_scaling ctx in
+        Printf.eprintf "[bench] timing server throughput at 1/2/4/8 domains...\n%!";
+        let serve_entries = par_server_scaling ctx in
+        Printf.eprintf "[bench] timing single-RPC vs batched group-commit ingest...\n%!";
+        let ingest_entries = ingest_throughput ctx in
+        Printf.eprintf
+          "[bench] timing the event-loop front end under a 200-connection fleet...\n%!";
+        let conn_entries, _, conn_dropped, conn_faults = conn_throughput ctx in
+        if conn_dropped > 0 || conn_faults <> [] then
+          Printf.eprintf "[bench] WARNING: conn fleet dropped %d requests (%s)\n%!" conn_dropped
+            (String.concat ", " conn_faults);
+        Printf.eprintf "[bench] timing fault-layer passthrough overhead...\n%!";
+        let fault_entries, _ = fault_overhead ctx in
+        Printf.eprintf "[bench] timing observability-layer overhead...\n%!";
+        let obs_entries, _ = obs_overhead ctx in
+        Printf.eprintf "[bench] timing per-formula topk and sbfl dispatch overhead...\n%!";
+        let sbfl_entries, _, _ = sbfl_overhead ctx in
+        ( append_entries @ cold_entries @ par_entries @ serve_entries @ ingest_entries
+          @ conn_entries @ fault_entries @ obs_entries @ sbfl_entries,
+          par_ok ))
+  in
   Printf.eprintf "[bench] million-run scale: tiered store, lazy open, compaction (%d runs)...\n%!"
     scale_runs;
   let scale = run_scale ~runs:scale_runs in
   print_scale scale;
   write_bench_json
     ~path:(Option.value ~default:"BENCH_core.json" (Sys.getenv_opt "SBI_BENCH_JSON"))
-    ~extra:
-      (append_entries @ par_entries @ serve_entries @ ingest_entries @ conn_entries @ fault_entries
-      @ obs_entries @ sbfl_entries @ scale_entries scale)
+    ~extra:(synth_entries @ scale_entries scale)
     results;
   print_tables ();
   if not par_ok then begin

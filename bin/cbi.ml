@@ -42,11 +42,11 @@ let parse_sampling s =
 
 let engine_t =
   let doc =
-    "Execution engine for collection: 'bytecode' (default: compile once, run on \
-     the VM) or 'tree-walk' (reference interpreter; both produce identical \
-     datasets)."
+    "Execution engine for collection: 'tree-walk' (default: the reference \
+     interpreter) or 'bytecode' (compile once, run on the VM; both produce \
+     identical datasets)."
   in
-  Arg.(value & opt string "bytecode" & info [ "engine" ] ~docv:"ENGINE" ~doc)
+  Arg.(value & opt string "tree-walk" & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let parse_engine = function
   | "bytecode" -> Ok Sbi_runtime.Collect.Bytecode
@@ -894,10 +894,11 @@ let serve_cmd =
   in
   let par_grain_t =
     Arg.(value & opt int d.par_grain & info [ "par-grain" ] ~docv:"CELLS"
-           ~doc:"Sequential cutoff for the parallel read path: a query whose \
-                 estimated work (runs x predicates popcount cells) is below \
-                 CELLS runs inline on the request thread instead of fanning \
-                 across the domain pool.  0 parallelizes every query.")
+           ~doc:"Sequential cutoff for the parallel read path: an affinity \
+                 whose estimated work (runs x the retained predicates and \
+                 their distinct sites, in popcount cells) is below CELLS runs \
+                 inline on the request thread instead of fanning across the \
+                 domain pool.  0 parallelizes every affinity.")
   in
   let slow_ms_t =
     Arg.(value & opt (some int) None & info [ "slow-ms" ] ~docv:"MS"

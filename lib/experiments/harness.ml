@@ -14,16 +14,16 @@ type config = {
   engine : Collect.engine;
 }
 
-(* Bytecode is the default: it compiles the study once and runs every
-   input on the VM, and is differentially tested against Tree_walk
-   (identical datasets) so experiments lose no fidelity. *)
+(* Tree_walk is the default: the tree-walking interpreter is faster than
+   the bytecode VM both bare and instrumented, and the two are
+   differentially tested to collect identical datasets. *)
 let default_config =
   {
     seed = 42;
     nruns = None;
     sampling = Adaptive 1000;
     confidence = 0.95;
-    engine = Collect.Bytecode;
+    engine = Collect.Tree_walk;
   }
 
 let quick_config =
@@ -32,7 +32,7 @@ let quick_config =
     nruns = Some 600;
     sampling = Adaptive 150;
     confidence = 0.95;
-    engine = Collect.Bytecode;
+    engine = Collect.Tree_walk;
   }
 
 type bundle = {

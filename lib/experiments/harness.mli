@@ -15,18 +15,19 @@ type config = {
   sampling : sampling;
   confidence : float;
   engine : Sbi_runtime.Collect.engine;
-      (** execution engine for collection; {!Sbi_runtime.Collect.Bytecode}
-          (the default) compiles once and runs the VM — differentially
-          tested to produce datasets identical to [Tree_walk] *)
+      (** execution engine for collection; [Tree_walk] (the default)
+          runs the reference interpreter, and
+          {!Sbi_runtime.Collect.Bytecode} compiles once and runs the VM —
+          differentially tested to produce identical datasets *)
 }
 
 val default_config : config
 (** seed 42, study-default run count, adaptive sampling with 1000 training
-    runs, 95% confidence, bytecode engine. *)
+    runs, 95% confidence, tree-walk engine. *)
 
 val quick_config : config
 (** A small configuration for tests and smoke runs: 600 runs, adaptive
-    sampling trained on 150 runs, bytecode engine. *)
+    sampling trained on 150 runs, tree-walk engine. *)
 
 type bundle = {
   study : Sbi_corpus.Study.t;

@@ -25,39 +25,64 @@ let fresh_states (snap : Snapshot.t) =
       })
     snap.Snapshot.views
 
-(* Counts over the current alive runs with current outcomes — the exact
-   quantities Counts.compute extracts from the corresponding filtered /
-   relabeled dataset.  Predicates and sites are independent, so the
-   per-predicate rescoring fans across the domain pool as one flat index
-   space [0, npreds + nsites) with block-disjoint writes. *)
 (* Minimum chunk size for the rescoring fan-out: each element costs a
    handful of popcount loops over the run bitmaps, so chunks of ~16
-   amortize handoff without starving small-predicate corpora of
+   amortize handoff without starving small candidate sets of
    parallelism. *)
 let rescore_grain = 16
 
-(* Per-domain private accumulators for the rescoring kernel.  Each
-   participant writes only its own arrays during the loop (the shared
-   result arrays would otherwise ping-pong cache lines at every chunk
-   boundary); merging is an elementwise sum at the barrier, and since
-   every flat index is written by exactly one chunk — hence exactly one
-   participant — the sums are of one value plus zeros: bit-identical to
-   the sequential fill for any domain count. *)
-type rescore_scratch = {
-  rs_f : int array;
-  rs_s : int array;
-  rs_fo : int array;
-  rs_so : int array;
-}
+(* The rescoring kernel's index space for [candidates]: the distinct
+   candidate predicates (ascending), then their distinct sites, each site
+   once however many candidates share it.  [slot.(k)] is the position of
+   [preds.(k)]'s site in [sites]. *)
+type space = { preds : int array; sites : int array; slot : int array }
+
+let rescore_space (meta : Dataset.t) candidates =
+  let preds = Array.of_list (List.sort_uniq Int.compare candidates) in
+  let site_slot = Array.make meta.Dataset.nsites (-1) and sites = ref [] and nslots = ref 0 in
+  let slot =
+    Array.map
+      (fun p ->
+        let site = meta.Dataset.pred_site.(p) in
+        if site_slot.(site) < 0 then begin
+          site_slot.(site) <- !nslots;
+          sites := site :: !sites;
+          incr nslots
+        end;
+        site_slot.(site))
+      preds
+  in
+  { preds; sites = Array.of_list (List.rev !sites); slot }
+
+let rescore_cells meta candidates =
+  let sp = rescore_space meta candidates in
+  Array.length sp.preds + Array.length sp.sites
+
+(* Per-domain private accumulators for the rescoring kernel, indexed like
+   the flat index space.  Each participant writes only its own arrays
+   during the loop (the shared result arrays would otherwise ping-pong
+   cache lines at every chunk boundary); merging is an elementwise sum at
+   the barrier, and since every flat index is written by exactly one
+   chunk — hence exactly one participant — the sums are of one value plus
+   zeros: bit-identical to the sequential fill for any domain count. *)
+type rescore_scratch = { rs_fail : int array; rs_true : int array }
 
 (* pad each private array past a 64-byte cache line so two domains'
    scratch never share a line even when freshly allocated back-to-back *)
 let scratch_pad = 8
 
-let counts_of_states ?pool (meta : Dataset.t) states =
-  let npreds = meta.Dataset.npreds and nsites = meta.Dataset.nsites in
-  let f = Array.make npreds 0 and s = Array.make npreds 0 in
-  let f_obs_site = Array.make (max nsites 1) 0 and s_obs_site = Array.make (max nsites 1) 0 in
+(* Counts over the current alive runs with current outcomes, exact at the
+   [candidates] — the quantities Counts.compute extracts there from the
+   corresponding filtered / relabeled dataset.  Only the candidates' cells
+   and their sites' cells are counted; every other predicate's cell stays
+   zero.  [num_f]/[num_s] cover the whole alive run set.  Cells are
+   independent, so the rescoring fans across the domain pool as one flat
+   index space [0, |preds| + |sites|) with block-disjoint writes. *)
+let counts_of_states ?pool (meta : Dataset.t) states ~candidates =
+  let npreds = meta.Dataset.npreds in
+  let sp = rescore_space meta candidates in
+  let np = Array.length sp.preds in
+  let n = np + Array.length sp.sites in
   let num_f = ref 0 and num_s = ref 0 in
   Array.iter
     (fun st ->
@@ -65,64 +90,49 @@ let counts_of_states ?pool (meta : Dataset.t) states =
       num_f := !num_f + nf;
       num_s := !num_s + (Bitset.count st.alive - nf))
     states;
-  let fill fa sa foa soa lo hi =
-    for i = lo to hi - 1 do
-      if i < npreds then begin
-        let fp = ref 0 and tp = ref 0 in
-        Array.iter
-          (fun st ->
-            let bits = st.view.Snapshot.v_pred_bits i in
-            fp := !fp + Rbitmap.inter_count3 bits st.alive st.failing;
-            tp := !tp + Rbitmap.inter_count bits st.alive)
-          states;
-        fa.(i) <- !fp;
-        sa.(i) <- !tp - !fp
-      end
-      else begin
-        let site = i - npreds in
-        let fo = ref 0 and t_o = ref 0 in
-        Array.iter
-          (fun st ->
-            let bits = st.view.Snapshot.v_site_bits site in
-            fo := !fo + Rbitmap.inter_count3 bits st.alive st.failing;
-            t_o := !t_o + Rbitmap.inter_count bits st.alive)
-          states;
-        foa.(site) <- !fo;
-        soa.(site) <- !t_o - !fo
-      end
+  (* cell k: alive runs, and failing alive runs, in which predicate
+     [preds.(k)] was true (k < np) or site [sites.(k - np)] was observed *)
+  let fail = Array.make n 0 and tru = Array.make n 0 in
+  let fill fa ta lo hi =
+    for k = lo to hi - 1 do
+      let fk = ref 0 and tk = ref 0 in
+      Array.iter
+        (fun st ->
+          let v = st.view in
+          let bits =
+            if k < np then v.Snapshot.v_pred_bits sp.preds.(k)
+            else v.Snapshot.v_site_bits sp.sites.(k - np)
+          in
+          fk := !fk + Rbitmap.inter_count3 bits st.alive st.failing;
+          tk := !tk + Rbitmap.inter_count bits st.alive)
+        states;
+      fa.(k) <- !fk;
+      ta.(k) <- !tk
     done
   in
-  let n = npreds + nsites in
   (match pool with
   | Some pool ->
       Sbi_par.Domain_pool.parallel_for_scratch pool ~grain:rescore_grain ~n
         ~scratch:(fun () ->
-          {
-            rs_f = Array.make (npreds + scratch_pad) 0;
-            rs_s = Array.make (npreds + scratch_pad) 0;
-            rs_fo = Array.make (max nsites 1 + scratch_pad) 0;
-            rs_so = Array.make (max nsites 1 + scratch_pad) 0;
-          })
+          { rs_fail = Array.make (n + scratch_pad) 0; rs_true = Array.make (n + scratch_pad) 0 })
         ~merge:(fun sc ->
-          for i = 0 to npreds - 1 do
-            f.(i) <- f.(i) + sc.rs_f.(i);
-            s.(i) <- s.(i) + sc.rs_s.(i)
-          done;
-          for site = 0 to nsites - 1 do
-            f_obs_site.(site) <- f_obs_site.(site) + sc.rs_fo.(site);
-            s_obs_site.(site) <- s_obs_site.(site) + sc.rs_so.(site)
+          for k = 0 to n - 1 do
+            fail.(k) <- fail.(k) + sc.rs_fail.(k);
+            tru.(k) <- tru.(k) + sc.rs_true.(k)
           done)
-        (fun sc lo hi -> fill sc.rs_f sc.rs_s sc.rs_fo sc.rs_so lo hi)
-  | None -> fill f s f_obs_site s_obs_site 0 n);
-  {
-    Counts.npreds;
-    f;
-    s;
-    f_obs = Array.init npreds (fun p -> f_obs_site.(meta.Dataset.pred_site.(p)));
-    s_obs = Array.init npreds (fun p -> s_obs_site.(meta.Dataset.pred_site.(p)));
-    num_f = !num_f;
-    num_s = !num_s;
-  }
+        (fun sc lo hi -> fill sc.rs_fail sc.rs_true lo hi)
+  | None -> fill fail tru 0 n);
+  let f = Array.make npreds 0 and s = Array.make npreds 0 in
+  let f_obs = Array.make npreds 0 and s_obs = Array.make npreds 0 in
+  Array.iteri
+    (fun k p ->
+      let site = np + sp.slot.(k) in
+      f.(p) <- fail.(k);
+      s.(p) <- tru.(k) - fail.(k);
+      f_obs.(p) <- fail.(site);
+      s_obs.(p) <- tru.(site) - fail.(site))
+    sp.preds;
+  { Counts.npreds; f; s; f_obs; s_obs; num_f = !num_f; num_s = !num_s }
 
 let alive_count states =
   Array.fold_left (fun acc st -> acc + Bitset.count st.alive) 0 states
@@ -190,7 +200,9 @@ module Snap = struct
           { view = v; alive; failing = Bitset.copy (v.Snapshot.v_failing ()) })
         snap.Snapshot.views
     in
-    let counts_after = counts_of_states ?pool snap.Snapshot.meta states_without in
+    let counts_after =
+      counts_of_states ?pool snap.Snapshot.meta states_without ~candidates:others
+    in
     let entries =
       List.filter_map
         (fun pred ->
@@ -245,7 +257,7 @@ module Snap = struct
       let nfail = failing_count states in
       if nfail = 0 || candidates = [] || rank > max_selections then (List.rev acc, candidates)
       else begin
-        let cts = counts_of_states ?pool meta states in
+        let cts = counts_of_states ?pool meta states ~candidates in
         let best =
           List.fold_left
             (fun best pred ->

@@ -5,13 +5,21 @@
     counts come from the snapshot's merged aggregate, and run-subset
     computations (affinity, iterative elimination) are word-level
     {!Sbi_store.Bitset} popcount kernels over per-view alive/failing masks —
-    never a posting walk, never a corpus rescan.  The per-predicate
-    rescoring inside elimination and affinity fans across [pool] when
-    one is given — chunked at {!rescore_grain}, each domain filling a
-    private scratch accumulator merged at the barrier — so results are
-    bit-identical at any pool size.  Every query below is
+    never a posting walk, never a corpus rescan.  Every query below is
     {e equal} — same integers, hence bit-identical scores — to its
     full-dataset counterpart in {!Sbi_core.Analysis} (property-tested).
+
+    Elimination and affinity rescore only the predicates they rank.  Each
+    elimination round counts the current candidates, and an affinity
+    counts its [others]: the kernel fills those predicates' counter cells
+    and the cells of their sites, each site once, so it loads only their
+    postings.  [num_f]/[num_s] still cover the whole alive run set.  The
+    cells of every other predicate are unspecified; nothing reads them,
+    because {!Sbi_core.Scores.score} and {!Sbi_core.Prune.keep} read only
+    the ranked predicate's cell plus [num_f]/[num_s].  The rescoring fans
+    across [pool] when one is given — chunked at {!rescore_grain}, each
+    domain filling a private scratch accumulator merged at the barrier —
+    so results are bit-identical at any pool size.
 
     The [?pool] argument fans the bitmap queries (affinity,
     elimination, analysis); the aggregate-only queries (counts, top-k,
@@ -20,8 +28,18 @@
     should use the {!Snap} variants directly. *)
 
 val rescore_grain : int
-(** Sequential cutoff / minimum chunk size for the per-predicate
-    rescoring fan-out (flat index space [0, npreds + nsites)). *)
+(** Sequential cutoff / minimum chunk size for the rescoring fan-out.
+    Its flat index space holds one cell per distinct predicate being
+    ranked, then one per distinct site of those predicates; see
+    {!rescore_cells}. *)
+
+val rescore_cells : Sbi_runtime.Dataset.t -> int list -> int
+(** [rescore_cells meta preds] is the size of the rescoring kernel's
+    index space for candidate set [preds]: the number of distinct
+    predicates in [preds] plus the number of distinct sites they belong
+    to.  A rescoring round costs about this many posting pairs per
+    snapshot view, each a popcount pass over the view's runs.
+    @raise Invalid_argument when a predicate is outside the tables. *)
 
 val counts : Index.t -> Sbi_core.Counts.t
 (** Merged §3.1 counts over all segments + live tail; equals

@@ -89,15 +89,15 @@ let locked m f =
 
 let grab_snapshot t = locked t.lock (fun () -> Index.snapshot t.index)
 
-(* Sequential-cutoff fast path: fan a query across the pool only when its
-   work estimate clears [config.par_grain].  A warm top-k or affinity
-   over a small corpus costs microseconds of popcounting — the pool
-   round-trip (enqueue, wake a domain, barrier) costs more than the query
-   itself, which is exactly what made serve latency *rise* with
+(* Sequential-cutoff fast path: fan an affinity across the pool only when
+   its work estimate — runs × the rescoring cells of the predicates it
+   ranks — clears [config.par_grain].  A warm affinity over a small
+   corpus or a few candidates costs microseconds of popcounting — the
+   pool round-trip (enqueue, wake a domain, barrier) costs more than the
+   query itself, which is exactly what made serve latency *rise* with
    [--domains] before. *)
-let query_pool t snap =
-  let meta = snap.Snapshot.meta in
-  let work = Snapshot.nruns snap * (meta.Dataset.npreds + meta.Dataset.nsites) in
+let query_pool t snap ~others =
+  let work = Snapshot.nruns snap * Triage.rescore_cells snap.Snapshot.meta others in
   if work >= t.config.par_grain then t.pool else None
 
 let pred_text t pred = Dataset.pred_text t.index.Index.meta pred
@@ -206,7 +206,10 @@ let handle_affinity t snap arg k =
   | Ok pred ->
       let k = match k with Some k when k > 0 -> k | _ -> 10 in
       let retained = Prune.retained (Triage.Snap.counts snap) in
-      let entries = Triage.Snap.affinity ?pool:(query_pool t snap) snap ~selected:pred ~others:retained in
+      let entries =
+        Triage.Snap.affinity ?pool:(query_pool t snap ~others:retained) snap ~selected:pred
+          ~others:retained
+      in
       let rec take n = function [] -> [] | _ when n = 0 -> [] | x :: r -> x :: take (n - 1) r in
       let lines =
         List.map

@@ -64,11 +64,13 @@ type config = {
           to the hardware domain count — extra domains only add GC
           synchronization cost) *)
   par_grain : int;
-      (** sequential-cutoff work threshold for the query read path: a
-          query whose estimated work — snapshot runs × (npreds + nsites)
-          popcount cells — is below this runs inline on the request
-          thread instead of round-tripping through the pool.  Default
-          [2^20] cells; [0] fans every query out. *)
+      (** sequential-cutoff work threshold for the query read path: an
+          [affinity] whose estimated work — snapshot runs × the
+          rescoring cells of the predicates it ranks (the retained
+          predicates plus their distinct sites, {!Sbi_index.Triage.rescore_cells})
+          — is below this runs inline on the request thread instead of
+          round-tripping through the pool.  Default [2^20] cells; [0]
+          fans every affinity out. *)
   max_request : int;
       (** byte bound on any single request line; an oversized request is
           rejected ([err] + close) and counted as a [fault.oversize] *)

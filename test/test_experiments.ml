@@ -18,9 +18,9 @@ let tiny_config =
     confidence = 0.95;
   }
 
-(* The harness defaults to the Bytecode engine; the whole experiment
+(* The harness defaults to the tree-walk engine; the whole experiment
    pipeline (instrumentation, trained sampling plan, oracle) must produce
-   the identical dataset under the reference tree-walk interpreter. *)
+   the identical dataset under the bytecode VM. *)
 let test_harness_engine_equivalence () =
   let config engine =
     {
@@ -31,9 +31,9 @@ let test_harness_engine_equivalence () =
       engine;
     }
   in
-  Alcotest.(check bool) "default engine is bytecode" true
-    (Harness.default_config.Harness.engine = Sbi_runtime.Collect.Bytecode
-    && Harness.quick_config.Harness.engine = Sbi_runtime.Collect.Bytecode);
+  Alcotest.(check bool) "default engine is tree-walk" true
+    (Harness.default_config.Harness.engine = Sbi_runtime.Collect.Tree_walk
+    && Harness.quick_config.Harness.engine = Sbi_runtime.Collect.Tree_walk);
   let a =
     Harness.collect_study ~config:(config Sbi_runtime.Collect.Bytecode) Sbi_corpus.Corpus.ccryptim
   in

@@ -47,7 +47,15 @@ let nsites = 5
 let npreds = 10
 let pred_site = [| 0; 0; 1; 1; 2; 2; 3; 3; 4; 4 |]
 
-let random_report st id =
+(* A wider table for the candidate-restriction tests: a candidate subset
+   there spans more rescoring cells than [Triage.rescore_grain], so a pool
+   really fans the kernel out. *)
+let wide_nsites = 24
+let wide_pred_site = Array.init 72 (fun p -> p / 3)
+
+(* Runs where predicate 3 (or, in the wide table, 40) is true mostly fail. *)
+let random_report ?(nsites = nsites) ?(pred_site = pred_site) st id =
+  let npreds = Array.length pred_site in
   let obs = ref [] and preds = ref [] in
   let obs_mask = Array.make nsites false in
   for site = nsites - 1 downto 0 do
@@ -60,19 +68,20 @@ let random_report st id =
     if obs_mask.(pred_site.(p)) && Random.State.float st 1.0 < 0.35 then preds := p :: !preds
   done;
   let preds = Array.of_list !preds in
-  let buggy = Array.exists (fun p -> p = 3) preds in
+  let buggy = Array.exists (fun p -> p = 3 || p = 40) preds in
   let failing = Random.State.float st 1.0 < if buggy then 0.85 else 0.08 in
   mk_report
     ~outcome:(if failing then Report.Failure else Report.Success)
     ~sites:(Array.of_list !obs) ~preds id
 
-let random_reports st ~start_id n = Array.init n (fun i -> random_report st (start_id + i))
+let random_reports ?nsites ?pred_site st ~start_id n =
+  Array.init n (fun i -> random_report ?nsites ?pred_site st (start_id + i))
 
-let dataset_of reports = Dataset.of_tables ~nsites ~npreds ~pred_site reports
+let dataset_of ?(nsites = nsites) ?(pred_site = pred_site) reports =
+  Dataset.of_tables ~nsites ~npreds:(Array.length pred_site) ~pred_site reports
 
-let write_log ~dir ?(shard = 0) reports =
-  if not (Sys.file_exists (Filename.concat dir "meta")) then
-    Shard_log.write_meta ~dir (dataset_of [||]);
+let write_log ~dir ?(shard = 0) ?(meta = dataset_of [||]) reports =
+  if not (Sys.file_exists (Filename.concat dir "meta")) then Shard_log.write_meta ~dir meta;
   let w = Shard_log.create_writer ~dir ~shard () in
   Array.iter (Shard_log.append w) reports;
   ignore (Shard_log.close_writer w)
@@ -722,6 +731,95 @@ let test_tail_view_concurrent_first_use () =
             (count_spans "index.tail_bits");
           Alcotest.(check bool) "parallel first use = sequential" true (parallel = sequential)))
 
+(* --- candidate-restricted rescoring --- *)
+
+(* [f idx ds]: a wide-table index with two on-disk segments (one per
+   shard) plus a live tail, and the same runs as a dataset. *)
+let with_wide_index ~st ~tail f =
+  with_temp_dir (fun tmp ->
+      let log = Filename.concat tmp "log" in
+      let idx_dir = Filename.concat tmp "idx" in
+      let nsites = wide_nsites and pred_site = wide_pred_site in
+      let meta = dataset_of ~nsites ~pred_site [||] in
+      let gen start_id n = random_reports ~nsites ~pred_site st ~start_id n in
+      let s0 = gen 0 (30 + Random.State.int st 20) in
+      let s1 = gen (Array.length s0) (30 + Random.State.int st 20) in
+      write_log ~dir:log ~meta ~shard:0 s0;
+      write_log ~dir:log ~meta ~shard:1 s1;
+      ignore (Index.build ~log ~dir:idx_dir ());
+      let idx = Index.open_ ~dir:idx_dir in
+      let live = gen (Array.length s0 + Array.length s1) tail in
+      Array.iter (Index.append idx) live;
+      f idx (dataset_of ~nsites ~pred_site (Array.concat [ s0; s1; live ])))
+
+(* A random strict subset of the wide table's predicates, in random
+   order; any size from empty to all but one. *)
+let random_strict_subset st =
+  let n = Array.length wide_pred_site in
+  let keep = Random.State.float st 1.0 in
+  let drop = Random.State.int st n in
+  let picked = List.filter (fun p -> p <> drop && Random.State.float st 1.0 < keep) (List.init n Fun.id) in
+  List.map snd (List.sort compare (List.map (fun p -> (Random.State.bits st, p)) picked))
+
+(* The kernel counts only the predicates being ranked, so elimination over
+   an explicit candidate subset and affinity over a subset of [others]
+   must still equal Sbi_core bit for bit — sequentially and on a
+   4-domain pool, over on-disk segments plus a live tail, under all three
+   §5 discard proposals. *)
+let qcheck_candidate_subsets =
+  QCheck2.Test.make ~name:"strict-subset candidates: elimination and affinity = Sbi_core"
+    ~count:10
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 0xca7 |] in
+      with_wide_index ~st ~tail:(1 + Random.State.int st 12) (fun idx ds ->
+          let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains:4 () in
+          Fun.protect
+            ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
+            (fun () ->
+              let same_elim a b = compare a b = 0 && elimination_bits a = elimination_bits b in
+              let same_aff a b = compare a b = 0 && affinity_bits a = affinity_bits b in
+              let reference = Sbi_core.Analysis.analyze ds in
+              List.for_all
+                (fun discard ->
+                  let s = random_strict_subset st in
+                  let expected = Sbi_core.Eliminate.run ~discard ~candidates:s ds in
+                  same_elim (Triage.eliminate ~discard ~candidates:s idx) expected
+                  && same_elim (Triage.eliminate ~pool ~discard ~candidates:s idx) expected
+                  &&
+                  let s = random_strict_subset st in
+                  let selected = Random.State.int st (Array.length wide_pred_site) in
+                  let expected =
+                    Sbi_core.Analysis.affinity_for
+                      { reference with Sbi_core.Analysis.retained = s }
+                      ~pred:selected
+                  in
+                  same_aff (Triage.affinity idx ~selected ~others:s) expected
+                  && same_aff (Triage.affinity ~pool idx ~selected ~others:s) expected)
+                [
+                  Sbi_core.Eliminate.Discard_all_true;
+                  Sbi_core.Eliminate.Discard_failing_true;
+                  Sbi_core.Eliminate.Relabel_failing;
+                ])))
+
+(* A cold analysis loads, per on-disk segment, at most the retained
+   predicates' postings and their distinct sites' postings — not the
+   whole table's. *)
+let test_cold_analysis_posting_loads () =
+  let st = Random.State.make [| 41 |] in
+  with_wide_index ~st ~tail:0 (fun idx _ ->
+      let segments = Array.length idx.Index.segments in
+      Alcotest.(check int) "two on-disk segments" 2 segments;
+      let a = Triage.analyze idx in
+      let retained = a.Triage.retained in
+      if List.length retained < 2 then Alcotest.fail "corpus retains too few predicates";
+      let sites = List.sort_uniq Int.compare (List.map (fun p -> wide_pred_site.(p)) retained) in
+      let bound = segments * (List.length retained + List.length sites) in
+      let misses = (Index.cache_stats idx).Sbi_store.Lru.misses in
+      if misses > bound then
+        Alcotest.failf "cold analysis loaded %d postings; retained set needs at most %d" misses
+          bound)
+
 (* --- tiered compaction --- *)
 
 (* grow the log in waves, compiling each wave into its own segment *)
@@ -886,4 +984,7 @@ let suite =
       test_tail_bits_lazy;
     Alcotest.test_case "tail view first used from 4 domains builds once" `Quick
       test_tail_view_concurrent_first_use;
+    QCheck_alcotest.to_alcotest qcheck_candidate_subsets;
+    Alcotest.test_case "cold analysis loads only retained postings" `Quick
+      test_cold_analysis_posting_loads;
   ]
