@@ -295,7 +295,7 @@ let synth_report st ~nsites ~npreds ~pred_site id =
   }
 
 (* Shared synthetic-corpus context: shard log + index + the raw reports
-   (kept so the parallel sections can materialize the reference dataset). *)
+   (kept so the observability A/B can append them to a fresh log). *)
 type synth_ctx = {
   sy_nruns : int;
   sy_shards : int;
@@ -355,20 +355,6 @@ let with_synth_ctx ~nruns f =
           sy_build_dt = build_dt;
           sy_build_stats = build_stats;
         })
-
-(* Shard order interleaves run ids round-robin; the reference dataset must
-   present runs in the order the merged index sees them. *)
-let synth_dataset ctx =
-  let by_shard =
-    Array.init ctx.sy_shards (fun shard ->
-        Array.of_list
-          (List.filter (fun (r : Sbi_runtime.Report.t) -> r.Sbi_runtime.Report.run_id mod ctx.sy_shards = shard)
-             (Array.to_list ctx.sy_reports)))
-  in
-  Sbi_runtime.Dataset.of_tables ~nsites:ctx.sy_meta.Sbi_runtime.Dataset.nsites
-    ~npreds:ctx.sy_meta.Sbi_runtime.Dataset.npreds
-    ~pred_site:ctx.sy_meta.Sbi_runtime.Dataset.pred_site
-    (Array.concat (Array.to_list by_shard))
 
 let print_index_scaling ctx =
   Printf.printf
@@ -436,121 +422,6 @@ let print_index_scaling ctx =
     nq
     (lat.(nq / 2) *. 1e3)
     (lat.(nq * 95 / 100) *. 1e3)
-
-(* --- par:* sections: sequential vs parallel analysis, server throughput ---
-
-   One-shot wall-clock numbers (a bechamel quota would rebuild pools and
-   re-run full eliminations dozens of times).  Every parallel result is
-   checked against the sequential one — and both against
-   Sbi_core.Analysis.analyze on the materialized corpus — before a
-   number is reported; a divergence is a hard failure in --par-check
-   mode and a loud warning here. *)
-
-let par_domain_counts = [ 1; 2; 4; 8 ]
-
-let analysis_equal (a : Sbi_index.Triage.analysis) (b : Sbi_core.Analysis.t) =
-  a.Sbi_index.Triage.counts = b.Sbi_core.Analysis.counts
-  && a.Sbi_index.Triage.retained = b.Sbi_core.Analysis.retained
-  && a.Sbi_index.Triage.elimination = b.Sbi_core.Analysis.elimination
-
-(* Sequential vs parallel elimination (snapshot prebuilt so the numbers
-   time the rescoring loop, not the one-time snapshot build).  Returns
-   ((name, ns) entries, all_identical). *)
-let par_elimination_scaling ctx =
-  let ds = synth_dataset ctx in
-  let reference = Sbi_core.Analysis.analyze ds in
-  let entries = ref [] and ok = ref true in
-  let check name a =
-    if not (analysis_equal a reference) then begin
-      ok := false;
-      Printf.printf "PAR DIVERGENCE: %s does not match Analysis.analyze\n%!" name
-    end
-  in
-  let seq_idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
-  ignore (Sbi_index.Index.snapshot seq_idx);
-  let seq_res, seq_dt = time (fun () -> Sbi_index.Triage.analyze seq_idx) in
-  check "sequential" seq_res;
-  entries :=
-    ("par:grain", float_of_int Sbi_index.Triage.rescore_grain)
-    :: ("par:eliminate:seq", seq_dt *. 1e9)
-    :: !entries;
-  Printf.printf "elimination scaling (%d runs, %d preds, grain %d, %d hardware domain(s)):\n"
-    ctx.sy_nruns ctx.sy_meta.Sbi_runtime.Dataset.npreds Sbi_index.Triage.rescore_grain
-    (Sbi_par.Domain_pool.default_domains ());
-  Printf.printf "  sequential          %8.1f ms\n" (seq_dt *. 1e3);
-  List.iter
-    (fun domains ->
-      if domains > 1 then begin
-        (* production behavior: the pool clamps to the hardware domain
-           count, so oversubscribed requests degrade to fewer (or zero)
-           workers instead of multiplying GC synchronization cost *)
-        let pool = Sbi_par.Domain_pool.create ~domains () in
-        Fun.protect
-          ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-          (fun () ->
-            let idx, par_open_dt =
-              time (fun () -> Sbi_index.Index.open_par ~pool ~dir:ctx.sy_idx_dir)
-            in
-            let _, snap_dt = time (fun () -> Sbi_index.Index.snapshot idx) in
-            let res, dt = time (fun () -> Sbi_index.Triage.analyze ~pool idx) in
-            check (Printf.sprintf "%d domains" domains) res;
-            let speedup = seq_dt /. Float.max dt 1e-9 in
-            entries :=
-              (Printf.sprintf "par:eliminate:d%d" domains, dt *. 1e9)
-              :: (Printf.sprintf "par:eliminate:d%d:speedup" domains, speedup)
-              :: (Printf.sprintf "par:open:d%d" domains, (par_open_dt +. snap_dt) *. 1e9)
-              :: !entries;
-            Printf.printf
-              "  %d domains (eff %d)   %8.1f ms (%.2fx vs seq, open+snapshot %.1f ms)\n"
-              domains (Sbi_par.Domain_pool.size pool) (dt *. 1e3) speedup
-              ((par_open_dt +. snap_dt) *. 1e3))
-      end)
-    par_domain_counts;
-  (List.rev !entries, !ok)
-
-(* Server throughput at 1/2/4/8 domains: concurrent clients hammering the
-   epoch-snapshot read path (topk + affinity, the pool-fanned query). *)
-let par_server_scaling ctx =
-  let entries = ref [] in
-  Printf.printf "server throughput (%d runs, 4 clients):\n" ctx.sy_nruns;
-  List.iter
-    (fun domains ->
-      let sock = Filename.temp_file "sbi_bench" ".sock" in
-      Sys.remove sock;
-      let config =
-        {
-          (Sbi_serve.Server.default_config (Sbi_serve.Wire.Unix_sock sock)) with
-          Sbi_serve.Server.fsync = false;
-          domains;
-        }
-      in
-      let idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
-      let srv = Sbi_serve.Server.start config idx in
-      let nclients = 4 and per_client = 50 in
-      let worker () =
-        let client = connect_exn (Sbi_serve.Wire.Unix_sock sock) in
-        for i = 0 to per_client - 1 do
-          let req = if i mod 10 = 9 then "affinity 17 5" else "topk 10" in
-          match Sbi_serve.Client.request client req with
-          | Ok _ -> ()
-          | Error e -> failwith ("bench query failed: " ^ e)
-        done;
-        Sbi_serve.Client.close client
-      in
-      let (), dt =
-        time (fun () ->
-            let threads = Array.init nclients (fun _ -> Thread.create worker ()) in
-            Array.iter Thread.join threads)
-      in
-      Sbi_serve.Server.stop srv;
-      let total = nclients * per_client in
-      let ns_per_req = dt *. 1e9 /. float_of_int total in
-      entries := (Printf.sprintf "par:serve:topk:d%d" domains, ns_per_req) :: !entries;
-      Printf.printf "  %d domain(s)         %8.0f req/s (%d requests in %.2fs)\n" domains
-        (float_of_int total /. Float.max dt 1e-9)
-        total dt)
-    par_domain_counts;
-  List.rev !entries
 
 (* --- ingest:* section: single-RPC vs batched group-commit ingest ---
 
@@ -907,62 +778,6 @@ let conn_check () =
     exit 1
   end
 
-(* `bench/main.exe --par-check`: exit non-zero if any parallel result
-   diverges from the sequential engine — wired to `make bench-check`. *)
-let par_check () =
-  let nruns = min synth_nruns 3_000 in
-  Printf.printf "par-check: %d-run synthetic corpus, pools of 2 and 4 domains\n%!" nruns;
-  let ok = ref true in
-  with_synth_ctx ~nruns (fun ctx ->
-      let ds = synth_dataset ctx in
-      let check what cond =
-        if cond then Printf.printf "  ok: %s\n%!" what
-        else begin
-          ok := false;
-          Printf.printf "  DIVERGED: %s\n%!" what
-        end
-      in
-      List.iter
-        (fun domains ->
-          (* clamp:false — the correctness property must exercise real
-             cross-domain chunk claiming and stealing even on a host with
-             fewer cores than the requested pool size *)
-          let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains () in
-          Fun.protect
-            ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-            (fun () ->
-              let idx = Sbi_index.Index.open_par ~pool ~dir:ctx.sy_idx_dir in
-              let seq_idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
-              check
-                (Printf.sprintf "topk (%d domains)" domains)
-                (Sbi_index.Triage.topk ~k:20 idx = Sbi_index.Triage.topk ~k:20 seq_idx);
-              List.iter
-                (fun (discard, name) ->
-                  let par = Sbi_index.Triage.eliminate ~pool ~discard idx in
-                  let seq = Sbi_index.Triage.eliminate ~discard seq_idx in
-                  let reference = Sbi_core.Eliminate.run ~discard ds in
-                  check (Printf.sprintf "eliminate %s (%d domains)" name domains)
-                    (par = seq && par = reference))
-                [
-                  (Sbi_core.Eliminate.Discard_all_true, "discard-all-true");
-                  (Sbi_core.Eliminate.Discard_failing_true, "discard-failing-true");
-                  (Sbi_core.Eliminate.Relabel_failing, "relabel-failing");
-                ];
-              let retained = Sbi_core.Prune.retained (Sbi_index.Triage.counts seq_idx) in
-              check
-                (Printf.sprintf "affinity (%d domains)" domains)
-                (Sbi_index.Triage.affinity ~pool idx ~selected:17 ~others:retained
-                = Sbi_index.Triage.affinity seq_idx ~selected:17 ~others:retained)))
-        [ 2; 4 ]);
-  if !ok then begin
-    Printf.printf "par-check OK: parallel results bit-identical to sequential\n";
-    exit 0
-  end
-  else begin
-    prerr_endline "par-check FAILED: parallel analysis diverged from sequential";
-    exit 1
-  end
-
 (* --- fault:* section: fault-layer passthrough overhead ---
 
    Every durability path funnels its file I/O through Sbi_fault.Io;
@@ -970,7 +785,7 @@ let par_check () =
    hot read path (streaming log fold) and the full index build with (a)
    the default passthrough and (b) a quiet, never-firing injector
    attached — the layer's worst case — and gate the delta in
-   --fault-check mode (par-check style, wired to `make fault-check`). *)
+   --fault-check mode (wired to `make fault-check`). *)
 
 let best_of n f =
   let best = ref infinity in
@@ -1477,121 +1292,8 @@ let print_results results =
 (* Machine-readable results: BENCH_core.json maps each benchmark name to
    ns/op and mops/s so the perf trajectory is diffable across PRs (format
    documented in docs/ingest.md and docs/perf.md).  [extra] merges
-   one-shot wall-clock entries (the par:* sections) into the same map. *)
-(* `bench/main.exe --speedup-check`: exit non-zero unless parallel
-   analysis actually pays off.  On a host with >= 4 hardware domains this
-   is the full gate — `par:eliminate:d4` at least 2x faster than
-   sequential and every measured dN strictly faster than seq; on a
-   core-starved host true speedup is physically impossible, so the gate
-   degrades to "parallel never loses": dN within 15% of sequential
-   (the clamped pool must collapse oversubscribed requests to inline
-   execution) — which is precisely the regression the old static pool
-   failed (d8 was ~8x *slower* than seq).  In both modes
-   `par:serve:topk:d4` must stay within tolerance of d1, and parallel
-   rankings must be bit-identical to sequential. *)
-
-let speedup_runs =
-  match Sys.getenv_opt "SBI_SPEEDUP_RUNS" with
-  | Some v -> ( match int_of_string_opt v with Some n when n > 0 -> n | _ -> 50_000)
-  | None -> 50_000
-
-let speedup_check () =
-  let cores = Sbi_par.Domain_pool.default_domains () in
-  let full_gate = cores >= 4 in
-  Printf.printf
-    "speedup-check: %d-run reference corpus, %d hardware domain(s) -> %s gate\n%!"
-    speedup_runs cores
-    (if full_gate then "full 2x-speedup" else "no-regression (need >= 4 cores for 2x)");
-  let ok = ref true in
-  let gate what cond detail =
-    if cond then Printf.printf "  ok: %s (%s)\n%!" what detail
-    else begin
-      ok := false;
-      Printf.printf "  FAILED: %s (%s)\n%!" what detail
-    end
-  in
-  with_synth_ctx ~nruns:speedup_runs (fun ctx ->
-      let reps = 3 in
-      let seq_idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
-      ignore (Sbi_index.Index.snapshot seq_idx);
-      let seq_res = Sbi_index.Triage.analyze seq_idx in
-      let seq_dt = best_of reps (fun () -> ignore (Sbi_index.Triage.analyze seq_idx)) in
-      Printf.printf "  eliminate seq: %.1f ms\n%!" (seq_dt *. 1e3);
-      List.iter
-        (fun domains ->
-          let pool = Sbi_par.Domain_pool.create ~domains () in
-          Fun.protect
-            ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-            (fun () ->
-              let idx = Sbi_index.Index.open_par ~pool ~dir:ctx.sy_idx_dir in
-              ignore (Sbi_index.Index.snapshot idx);
-              let res = Sbi_index.Triage.analyze ~pool idx in
-              gate
-                (Printf.sprintf "eliminate:d%d bit-identical to seq" domains)
-                (res = seq_res) "rankings, counts, elimination trace";
-              let dt = best_of reps (fun () -> ignore (Sbi_index.Triage.analyze ~pool idx)) in
-              let speedup = seq_dt /. Float.max dt 1e-9 in
-              Printf.printf "  eliminate d%d (eff %d): %.1f ms (%.2fx vs seq)\n%!" domains
-                (Sbi_par.Domain_pool.size pool) (dt *. 1e3) speedup;
-              if full_gate then
-                gate
-                  (Printf.sprintf "eliminate:d%d > seq" domains)
-                  (speedup > 1.0)
-                  (Printf.sprintf "%.2fx" speedup)
-              else
-                gate
-                  (Printf.sprintf "eliminate:d%d does not regress vs seq" domains)
-                  (dt <= (seq_dt *. 1.15) +. 0.002)
-                  (Printf.sprintf "%.1f ms vs %.1f ms seq" (dt *. 1e3) (seq_dt *. 1e3));
-              if full_gate && domains = 4 then
-                gate "eliminate:d4 >= 2x seq" (speedup >= 2.0) (Printf.sprintf "%.2fx" speedup)))
-        [ 2; 4 ];
-      (* serve read path: topk latency must not rise with --domains *)
-      let serve_lat domains =
-        let sock = Filename.temp_file "sbi_bench" ".sock" in
-        Sys.remove sock;
-        let config =
-          {
-            (Sbi_serve.Server.default_config (Sbi_serve.Wire.Unix_sock sock)) with
-            Sbi_serve.Server.fsync = false;
-            domains;
-          }
-        in
-        let idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
-        let srv = Sbi_serve.Server.start config idx in
-        let nclients = 4 and per_client = 50 in
-        let worker () =
-          let client = connect_exn (Sbi_serve.Wire.Unix_sock sock) in
-          for _ = 1 to per_client do
-            match Sbi_serve.Client.request client "topk 10" with
-            | Ok _ -> ()
-            | Error e -> failwith ("speedup-check query failed: " ^ e)
-          done;
-          Sbi_serve.Client.close client
-        in
-        let round () =
-          let threads = Array.init nclients (fun _ -> Thread.create worker ()) in
-          Array.iter Thread.join threads
-        in
-        let dt = best_of 2 round in
-        Sbi_serve.Server.stop srv;
-        dt /. float_of_int (nclients * per_client)
-      in
-      let d1 = serve_lat 1 in
-      let d4 = serve_lat 4 in
-      Printf.printf "  serve topk: d1 %.3f ms/req, d4 %.3f ms/req\n%!" (d1 *. 1e3) (d4 *. 1e3);
-      gate "serve:topk:d4 no worse than d1"
-        (d4 <= (d1 *. 1.15) +. 0.0002)
-        (Printf.sprintf "%.3f ms vs %.3f ms" (d4 *. 1e3) (d1 *. 1e3)));
-  if !ok then begin
-    Printf.printf "speedup-check OK\n";
-    exit 0
-  end
-  else begin
-    prerr_endline "speedup-check FAILED: parallel analysis does not pay off";
-    exit 1
-  end
-
+   one-shot wall-clock entries (index:*, ingest:*, conn:*, scale:* and
+   the overhead sections) into the same map. *)
 let write_bench_json ~path ?(extra = []) results =
   let module J = Sbi_util.Json in
   let rows = ref extra in
@@ -1645,8 +1347,6 @@ let print_tables () =
   print_endline (Stack_study.render rows)
 
 let () =
-  if Array.exists (fun a -> a = "--par-check") Sys.argv then par_check ();
-  if Array.exists (fun a -> a = "--speedup-check") Sys.argv then speedup_check ();
   if Array.exists (fun a -> a = "--fault-check") Sys.argv then fault_check ();
   if Array.exists (fun a -> a = "--obs-check") Sys.argv then obs_check ();
   if Array.exists (fun a -> a = "--sbfl-check") Sys.argv then sbfl_check ();
@@ -1665,7 +1365,7 @@ let () =
   Printf.eprintf "[bench] timing parallel vs sequential collection...\n%!";
   print_collection_scaling ();
   Printf.eprintf "[bench] building %d-run synthetic corpus...\n%!" synth_nruns;
-  let synth_entries, par_ok =
+  let synth_entries =
     with_synth_ctx ~nruns:synth_nruns (fun ctx ->
         Printf.eprintf "[bench] timing index build and indexed vs rescan top-k...\n%!";
         print_index_scaling ctx;
@@ -1673,10 +1373,6 @@ let () =
         let append_entries = topk_after_append ctx in
         Printf.eprintf "[bench] timing a cold open + analysis...\n%!";
         let cold_entries = analyze_cold ctx in
-        Printf.eprintf "[bench] timing sequential vs parallel elimination...\n%!";
-        let par_entries, par_ok = par_elimination_scaling ctx in
-        Printf.eprintf "[bench] timing server throughput at 1/2/4/8 domains...\n%!";
-        let serve_entries = par_server_scaling ctx in
         Printf.eprintf "[bench] timing single-RPC vs batched group-commit ingest...\n%!";
         let ingest_entries = ingest_throughput ctx in
         Printf.eprintf
@@ -1691,9 +1387,8 @@ let () =
         let obs_entries, _ = obs_overhead ctx in
         Printf.eprintf "[bench] timing per-formula topk and sbfl dispatch overhead...\n%!";
         let sbfl_entries, _, _ = sbfl_overhead ctx in
-        ( append_entries @ cold_entries @ par_entries @ serve_entries @ ingest_entries
-          @ conn_entries @ fault_entries @ obs_entries @ sbfl_entries,
-          par_ok ))
+        append_entries @ cold_entries @ ingest_entries @ conn_entries @ fault_entries
+        @ obs_entries @ sbfl_entries)
   in
   Printf.eprintf "[bench] million-run scale: tiered store, lazy open, compaction (%d runs)...\n%!"
     scale_runs;
@@ -1703,8 +1398,4 @@ let () =
     ~path:(Option.value ~default:"BENCH_core.json" (Sys.getenv_opt "SBI_BENCH_JSON"))
     ~extra:(synth_entries @ scale_entries scale)
     results;
-  print_tables ();
-  if not par_ok then begin
-    prerr_endline "bench: parallel analysis diverged from sequential";
-    exit 1
-  end
+  print_tables ()

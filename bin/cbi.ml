@@ -887,19 +887,6 @@ let serve_cmd =
     Arg.(value & flag & info [ "update" ]
            ~doc:"Incrementally re-index the source log before serving.")
   in
-  let domains_t =
-    Arg.(value & opt int d.domains & info [ "domains" ] ~docv:"N"
-           ~doc:"Analysis domains: N > 1 spawns a domain pool that parallelizes \
-                 snapshot rebuilds and affinity rescoring on the read path.")
-  in
-  let par_grain_t =
-    Arg.(value & opt int d.par_grain & info [ "par-grain" ] ~docv:"CELLS"
-           ~doc:"Sequential cutoff for the parallel read path: an affinity \
-                 whose estimated work (runs x the retained predicates and \
-                 their distinct sites, in popcount cells) is below CELLS runs \
-                 inline on the request thread instead of fanning across the \
-                 domain pool.  0 parallelizes every affinity.")
-  in
   let slow_ms_t =
     Arg.(value & opt (some int) None & info [ "slow-ms" ] ~docv:"MS"
            ~doc:"Log every request taking at least MS milliseconds to stderr \
@@ -941,18 +928,9 @@ let serve_cmd =
            ~doc:"Connection admission cap: a client beyond it is answered with a \
                  one-line 'err busy' and closed instead of hanging.")
   in
-  let run idx_dir addr timeout timeout_ms max_request no_fsync ingest_log update domains
-      par_grain slow_ms compact_every tier_max group_commit_ms max_batch acceptors
-      max_conns =
+  let run idx_dir addr timeout timeout_ms max_request no_fsync ingest_log update slow_ms
+      compact_every tier_max group_commit_ms max_batch acceptors max_conns =
     let addr = or_fail (Sbi_serve.Wire.addr_of_string addr) in
-    if domains < 1 then begin
-      prerr_endline "cbi: --domains must be >= 1";
-      exit 2
-    end;
-    if par_grain < 0 then begin
-      prerr_endline "cbi: --par-grain must be >= 0";
-      exit 2
-    end;
     (match slow_ms with
     | Some ms when ms < 0 ->
         prerr_endline "cbi: --slow-ms must be >= 0";
@@ -1020,8 +998,6 @@ let serve_cmd =
         timeout;
         fsync = not no_fsync;
         ingest_log;
-        domains;
-        par_grain;
         max_request;
         compact_every;
         tier_max;
@@ -1070,8 +1046,8 @@ let serve_cmd =
   Cmd.v info
     Term.(
       const run $ idx_t $ addr_t $ timeout_t $ timeout_ms_t $ max_request_t $ no_fsync_t
-      $ ingest_log_t $ update_t $ domains_t $ par_grain_t $ slow_ms_t $ compact_every_t
-      $ serve_tier_max_t $ group_commit_ms_t $ max_batch_t $ acceptors_t $ max_conns_t)
+      $ ingest_log_t $ update_t $ slow_ms_t $ compact_every_t $ serve_tier_max_t
+      $ group_commit_ms_t $ max_batch_t $ acceptors_t $ max_conns_t)
 
 let query_cmd =
   let addr_t =

@@ -297,7 +297,7 @@ let empty_tail meta = { t_reports = [||]; t_len = 0; t_agg = Aggregator.of_meta 
 let cache_budget () =
   Option.bind (Sys.getenv_opt "SBI_CACHE_BUDGET") int_of_string_opt
 
-let open_body pool ~dir =
+let open_body ~dir =
   let meta = load_meta dir in
   let man = load_manifest dir in
   let cache = Segref.create_cache ?budget:(cache_budget ()) () in
@@ -331,24 +331,19 @@ let open_body pool ~dir =
           | exception Segment.Corrupt msg -> Error msg)
       | exception Segment.Corrupt msg -> Error msg
   in
-  let entries = Array.of_list man.man_segs in
-  let results =
-    match pool with
-    | Some pool -> Sbi_par.Domain_pool.map_array pool load entries
-    | None -> Array.map load entries
-  in
   let segs = ref [] in
   let sealed = Aggregator.of_meta meta in
   let loaded = ref 0 and corrupt = ref 0 and records = ref 0 in
-  Array.iter
-    (function
+  List.iter
+    (fun m ->
+      match load m with
       | Ok (sr, agg, nruns) ->
           segs := sr :: !segs;
           Aggregator.merge_into ~into:sealed agg;
           incr loaded;
           records := !records + nruns
       | Error _ -> incr corrupt)
-    results;
+    man.man_segs;
   {
     dir;
     meta;
@@ -362,11 +357,7 @@ let open_body pool ~dir =
     snap = None;
   }
 
-let open_impl pool ~dir =
-  Sbi_obs.Trace.with_span ~name:"index.open" ~args:dir (fun () -> open_body pool ~dir)
-
-let open_ ~dir = open_impl None ~dir
-let open_par ~pool ~dir = open_impl (Some pool) ~dir
+let open_ ~dir = Sbi_obs.Trace.with_span ~name:"index.open" ~args:dir (fun () -> open_body ~dir)
 
 let cache_stats t = Sbi_store.Lru.stats t.cache
 

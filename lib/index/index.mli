@@ -86,11 +86,6 @@ val open_ : dir:string -> t
     when that environment variable is set, else [2^22] (~32 MB).
     @raise Format_error when meta or manifest is missing/invalid. *)
 
-val open_par : pool:Sbi_par.Domain_pool.t -> dir:string -> t
-(** {!open_} with per-segment loading fanned across [pool].  Produces a
-    state identical to {!open_} (segments stay in manifest order
-    regardless of completion order). *)
-
 val cache_stats : t -> Sbi_store.Lru.stats
 (** Posting-cache counters (hits/misses/evictions/resident cost). *)
 

@@ -11,7 +11,7 @@ module Rbitmap = Sbi_store.Rbitmap
    popcount kernels over per-view alive/failing masks instead of per-bit
    posting walks.  The integers produced are exactly those of
    [Counts.compute] on the corresponding materialized corpus, so scores and
-   rankings stay bit-identical to [Sbi_core.Analysis] for any pool size. *)
+   rankings stay bit-identical to [Sbi_core.Analysis]. *)
 
 type view_state = { view : Snapshot.view; alive : Bitset.t; failing : Bitset.t }
 
@@ -24,12 +24,6 @@ let fresh_states (snap : Snapshot.t) =
         failing = Bitset.copy (v.Snapshot.v_failing ());
       })
     snap.Snapshot.views
-
-(* Minimum chunk size for the rescoring fan-out: each element costs a
-   handful of popcount loops over the run bitmaps, so chunks of ~16
-   amortize handoff without starving small candidate sets of
-   parallelism. *)
-let rescore_grain = 16
 
 (* The rescoring kernel's index space for [candidates]: the distinct
    candidate predicates (ascending), then their distinct sites, each site
@@ -54,31 +48,12 @@ let rescore_space (meta : Dataset.t) candidates =
   in
   { preds; sites = Array.of_list (List.rev !sites); slot }
 
-let rescore_cells meta candidates =
-  let sp = rescore_space meta candidates in
-  Array.length sp.preds + Array.length sp.sites
-
-(* Per-domain private accumulators for the rescoring kernel, indexed like
-   the flat index space.  Each participant writes only its own arrays
-   during the loop (the shared result arrays would otherwise ping-pong
-   cache lines at every chunk boundary); merging is an elementwise sum at
-   the barrier, and since every flat index is written by exactly one
-   chunk — hence exactly one participant — the sums are of one value plus
-   zeros: bit-identical to the sequential fill for any domain count. *)
-type rescore_scratch = { rs_fail : int array; rs_true : int array }
-
-(* pad each private array past a 64-byte cache line so two domains'
-   scratch never share a line even when freshly allocated back-to-back *)
-let scratch_pad = 8
-
 (* Counts over the current alive runs with current outcomes, exact at the
    [candidates] — the quantities Counts.compute extracts there from the
    corresponding filtered / relabeled dataset.  Only the candidates' cells
    and their sites' cells are counted; every other predicate's cell stays
-   zero.  [num_f]/[num_s] cover the whole alive run set.  Cells are
-   independent, so the rescoring fans across the domain pool as one flat
-   index space [0, |preds| + |sites|) with block-disjoint writes. *)
-let counts_of_states ?pool (meta : Dataset.t) states ~candidates =
+   zero.  [num_f]/[num_s] cover the whole alive run set. *)
+let counts_of_states (meta : Dataset.t) states ~candidates =
   let npreds = meta.Dataset.npreds in
   let sp = rescore_space meta candidates in
   let np = Array.length sp.preds in
@@ -93,35 +68,18 @@ let counts_of_states ?pool (meta : Dataset.t) states ~candidates =
   (* cell k: alive runs, and failing alive runs, in which predicate
      [preds.(k)] was true (k < np) or site [sites.(k - np)] was observed *)
   let fail = Array.make n 0 and tru = Array.make n 0 in
-  let fill fa ta lo hi =
-    for k = lo to hi - 1 do
-      let fk = ref 0 and tk = ref 0 in
-      Array.iter
-        (fun st ->
-          let v = st.view in
-          let bits =
-            if k < np then v.Snapshot.v_pred_bits sp.preds.(k)
-            else v.Snapshot.v_site_bits sp.sites.(k - np)
-          in
-          fk := !fk + Rbitmap.inter_count3 bits st.alive st.failing;
-          tk := !tk + Rbitmap.inter_count bits st.alive)
-        states;
-      fa.(k) <- !fk;
-      ta.(k) <- !tk
-    done
-  in
-  (match pool with
-  | Some pool ->
-      Sbi_par.Domain_pool.parallel_for_scratch pool ~grain:rescore_grain ~n
-        ~scratch:(fun () ->
-          { rs_fail = Array.make (n + scratch_pad) 0; rs_true = Array.make (n + scratch_pad) 0 })
-        ~merge:(fun sc ->
-          for k = 0 to n - 1 do
-            fail.(k) <- fail.(k) + sc.rs_fail.(k);
-            tru.(k) <- tru.(k) + sc.rs_true.(k)
-          done)
-        (fun sc lo hi -> fill sc.rs_fail sc.rs_true lo hi)
-  | None -> fill fail tru 0 n);
+  for k = 0 to n - 1 do
+    Array.iter
+      (fun st ->
+        let v = st.view in
+        let bits =
+          if k < np then v.Snapshot.v_pred_bits sp.preds.(k)
+          else v.Snapshot.v_site_bits sp.sites.(k - np)
+        in
+        fail.(k) <- fail.(k) + Rbitmap.inter_count3 bits st.alive st.failing;
+        tru.(k) <- tru.(k) + Rbitmap.inter_count bits st.alive)
+      states
+  done;
   let f = Array.make npreds 0 and s = Array.make npreds 0 in
   let f_obs = Array.make npreds 0 and s_obs = Array.make npreds 0 in
   Array.iteri
@@ -188,7 +146,7 @@ module Snap = struct
       invalid_arg (Printf.sprintf "Triage.pred_detail: predicate %d out of range" pred);
     Scores.score ?confidence (Snapshot.counts snap) ~pred
 
-  let affinity ?pool ?(confidence = 0.95) snap ~selected ~others =
+  let affinity ?(confidence = 0.95) snap ~selected ~others =
     Sbi_obs.Trace.with_span ~name:"triage.affinity" ~args:(Printf.sprintf "pred=%d" selected)
     @@ fun () ->
     let counts_before = Snapshot.counts snap in
@@ -200,9 +158,7 @@ module Snap = struct
           { view = v; alive; failing = Bitset.copy (v.Snapshot.v_failing ()) })
         snap.Snapshot.views
     in
-    let counts_after =
-      counts_of_states ?pool snap.Snapshot.meta states_without ~candidates:others
-    in
+    let counts_after = counts_of_states snap.Snapshot.meta states_without ~candidates:others in
     let entries =
       List.filter_map
         (fun pred ->
@@ -227,7 +183,7 @@ module Snap = struct
         | n -> n)
       entries
 
-  let eliminate ?pool ?(discard = Eliminate.Discard_all_true) ?(confidence = 0.95)
+  let eliminate ?(discard = Eliminate.Discard_all_true) ?(confidence = 0.95)
       ?(max_selections = 40) ?candidates snap =
     Sbi_obs.Trace.with_span ~name:"triage.eliminate"
       ~args:(Printf.sprintf "max=%d" max_selections)
@@ -257,7 +213,7 @@ module Snap = struct
       let nfail = failing_count states in
       if nfail = 0 || candidates = [] || rank > max_selections then (List.rev acc, candidates)
       else begin
-        let cts = counts_of_states ?pool meta states ~candidates in
+        let cts = counts_of_states meta states ~candidates in
         let best =
           List.fold_left
             (fun best pred ->
@@ -322,11 +278,11 @@ let pred_detail ?confidence idx ~pred = Snap.pred_detail ?confidence (Index.snap
 let pred_score ?confidence idx ~pred ~formula =
   Snap.pred_score ?confidence (Index.snapshot idx) ~pred ~formula
 
-let affinity ?pool ?confidence idx ~selected ~others =
-  Snap.affinity ?pool ?confidence (Index.snapshot idx) ~selected ~others
+let affinity ?confidence idx ~selected ~others =
+  Snap.affinity ?confidence (Index.snapshot idx) ~selected ~others
 
-let eliminate ?pool ?discard ?confidence ?max_selections ?candidates idx =
-  Snap.eliminate ?pool ?discard ?confidence ?max_selections ?candidates (Index.snapshot idx)
+let eliminate ?discard ?confidence ?max_selections ?candidates idx =
+  Snap.eliminate ?discard ?confidence ?max_selections ?candidates (Index.snapshot idx)
 
 let cooccurrence idx ~a ~b = Snap.cooccurrence (Index.snapshot idx) ~a ~b
 
@@ -338,13 +294,11 @@ type analysis = {
   elimination : Eliminate.result;
 }
 
-let analyze ?pool ?discard ?(confidence = 0.95) ?max_selections (idx : Index.t) =
+let analyze ?discard ?(confidence = 0.95) ?max_selections (idx : Index.t) =
   let snap = Index.snapshot idx in
   let cts = Snapshot.counts snap in
   let retained = Prune.retained ~confidence cts in
-  let elimination =
-    Snap.eliminate ?pool ?discard ~confidence ?max_selections ~candidates:retained snap
-  in
+  let elimination = Snap.eliminate ?discard ~confidence ?max_selections ~candidates:retained snap in
   { counts = cts; retained; elimination }
 
 let summary (idx : Index.t) (a : analysis) =

@@ -16,30 +16,13 @@
     postings.  [num_f]/[num_s] still cover the whole alive run set.  The
     cells of every other predicate are unspecified; nothing reads them,
     because {!Sbi_core.Scores.score} and {!Sbi_core.Prune.keep} read only
-    the ranked predicate's cell plus [num_f]/[num_s].  The rescoring fans
-    across [pool] when one is given — chunked at {!rescore_grain}, each
-    domain filling a private scratch accumulator merged at the barrier —
-    so results are bit-identical at any pool size.
+    the ranked predicate's cell plus [num_f]/[num_s].  Every query runs
+    on the calling thread; docs/perf.md gives the measurements behind
+    that choice.
 
-    The [?pool] argument fans the bitmap queries (affinity,
-    elimination, analysis); the aggregate-only queries (counts, top-k,
-    predicate detail) take none.  Callers that already hold a
-    consistent {!Snapshot.t} (e.g. the server's lock-free read path)
-    should use the {!Snap} variants directly. *)
-
-val rescore_grain : int
-(** Sequential cutoff / minimum chunk size for the rescoring fan-out.
-    Its flat index space holds one cell per distinct predicate being
-    ranked, then one per distinct site of those predicates; see
-    {!rescore_cells}. *)
-
-val rescore_cells : Sbi_runtime.Dataset.t -> int list -> int
-(** [rescore_cells meta preds] is the size of the rescoring kernel's
-    index space for candidate set [preds]: the number of distinct
-    predicates in [preds] plus the number of distinct sites they belong
-    to.  A rescoring round costs about this many posting pairs per
-    snapshot view, each a popcount pass over the view's runs.
-    @raise Invalid_argument when a predicate is outside the tables. *)
+    Callers that already hold a consistent {!Snapshot.t} (e.g. the
+    server's lock-free read path) should use the {!Snap} variants
+    directly. *)
 
 val counts : Index.t -> Sbi_core.Counts.t
 (** Merged §3.1 counts over all segments + live tail; equals
@@ -75,7 +58,6 @@ val cooccurrence : Index.t -> a:int -> b:int -> int
     @raise Invalid_argument when [a] or [b] is outside the tables. *)
 
 val affinity :
-  ?pool:Sbi_par.Domain_pool.t ->
   ?confidence:float ->
   Index.t ->
   selected:int ->
@@ -83,11 +65,10 @@ val affinity :
   Sbi_core.Affinity.entry list
 (** Equals {!Sbi_core.Analysis.affinity_for} on the materialized corpus:
     Importance drop of each other predicate once the runs covered by
-    [selected] are removed (one [diff_inplace] per view plus a fanned
-    popcount rescoring, not a dataset rebuild). *)
+    [selected] are removed (one [diff_inplace] per view plus a popcount
+    rescoring of [others], not a dataset rebuild). *)
 
 val eliminate :
-  ?pool:Sbi_par.Domain_pool.t ->
   ?discard:Sbi_core.Eliminate.discard ->
   ?confidence:float ->
   ?max_selections:int ->
@@ -105,14 +86,13 @@ type analysis = {
 }
 
 val analyze :
-  ?pool:Sbi_par.Domain_pool.t ->
   ?discard:Sbi_core.Eliminate.discard ->
   ?confidence:float ->
   ?max_selections:int ->
   Index.t ->
   analysis
 (** Index-backed mirror of {!Sbi_core.Analysis.analyze}: identical
-    retained set, selection order, and scores — with or without [pool]. *)
+    retained set, selection order, and scores. *)
 
 val summary : Index.t -> analysis -> Sbi_core.Analysis.summary
 
@@ -140,7 +120,6 @@ module Snap : sig
     float * Sbi_core.Scores.t
 
   val affinity :
-    ?pool:Sbi_par.Domain_pool.t ->
     ?confidence:float ->
     Snapshot.t ->
     selected:int ->
@@ -148,7 +127,6 @@ module Snap : sig
     Sbi_core.Affinity.entry list
 
   val eliminate :
-    ?pool:Sbi_par.Domain_pool.t ->
     ?discard:Sbi_core.Eliminate.discard ->
     ?confidence:float ->
     ?max_selections:int ->

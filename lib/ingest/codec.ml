@@ -19,7 +19,10 @@ let add_varint buf n =
   done;
   Buffer.add_char buf (Char.unsafe_chr !n)
 
-(* Reads a varint from [s] at [!pos], bounded by [limit]; advances [pos]. *)
+(* Reads a varint from [s] at [!pos], bounded by [limit]; advances [pos].
+   Nine 7-bit groups reach bit 62, the sign bit of a 63-bit int, so a
+   final ninth byte of 0x40 to 0x7f would come back negative: a count or
+   a length that no caller can use. *)
 let read_varint s pos limit =
   let v = ref 0 and shift = ref 0 and fin = ref false in
   while not !fin do
@@ -31,19 +34,22 @@ let read_varint s pos limit =
     shift := !shift + 7;
     if b < 0x80 then fin := true
   done;
+  if !v < 0 then corrupt "varint exceeds max_int";
   !v
 
 (* --- int-array encodings --- *)
 
-(* Sorted, non-negative arrays (observed sites, true predicates) are
-   delta-encoded: first element absolute, then successive differences.
-   This keeps nearly all varints to one byte for dense observation sets. *)
+(* Strictly ascending, non-negative arrays (observed sites, true
+   predicates) are delta-encoded: first element absolute, then successive
+   differences.  This keeps nearly all varints to one byte for dense
+   observation sets.  Both sides insist on distinct ids: a zero delta
+   would make a reader count one id twice. *)
 let add_sorted_deltas buf arr =
   add_varint buf (Array.length arr);
-  let prev = ref 0 in
+  let prev = ref (-1) in
   Array.iteri
     (fun i v ->
-      if v < !prev then invalid_arg "Codec: array not sorted ascending";
+      if v <= !prev then invalid_arg "Codec: array not strictly ascending";
       add_varint buf (if i = 0 then v else v - !prev);
       prev := v)
     arr
@@ -52,10 +58,12 @@ let read_sorted_deltas s pos limit =
   let n = read_varint s pos limit in
   if n > limit - !pos then corrupt "array count %d exceeds record bounds" n;
   let arr = Array.make n 0 in
-  let prev = ref 0 in
+  let prev = ref (-1) in
   for i = 0 to n - 1 do
     let d = read_varint s pos limit in
     let v = if i = 0 then d else !prev + d in
+    (* a zero delta repeats an id; an overflowing sum wraps below [prev] *)
+    if v <= !prev then corrupt "id %d does not follow %d" v !prev;
     arr.(i) <- v;
     prev := v
   done;

@@ -22,11 +22,17 @@ val version : int
 (** {1 Payload codec} *)
 
 val encode : Sbi_runtime.Report.t -> string
+(** @raise Invalid_argument when [observed_sites] or [true_preds] is not
+    strictly ascending, or an encoded integer is negative: {!decode}
+    would reject the record. *)
+
 val encode_to : Buffer.t -> Sbi_runtime.Report.t -> unit
 
 val decode : string -> Sbi_runtime.Report.t
 (** Round-trip inverse of {!encode}: [decode (encode r) = r].
-    @raise Corrupt on malformed payloads (including trailing bytes). *)
+    @raise Corrupt on malformed payloads (including trailing bytes, a
+    varint too large for a non-negative int, and site or predicate ids
+    that are not strictly ascending); it raises nothing else. *)
 
 val decode_sub : string -> pos:int -> len:int -> Sbi_runtime.Report.t
 (** Decode a payload embedded in a larger buffer.
@@ -60,4 +66,5 @@ val add_varint : Buffer.t -> int -> unit
 
 val read_varint : string -> int ref -> int -> int
 (** [read_varint s pos limit] reads at [!pos], advancing [pos]; input bytes
-    must lie below [limit].  @raise Corrupt on overrun or overflow. *)
+    must lie below [limit].  @raise Corrupt on overrun, or when the value
+    does not fit a non-negative int. *)

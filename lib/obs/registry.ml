@@ -1,7 +1,7 @@
 (* Process-wide registry of named metrics.  Values are updated through
    Atomics (no lock on the hot path); the registry table itself is
    guarded by a mutex only at get-or-create and export time.  Names are
-   dotted paths ("log.append", "pool.queue_wait"); registering the same
+   dotted paths ("log.append", "log.fsync"); registering the same
    name twice with a different type is a programming error and raises. *)
 
 type counter = int Atomic.t

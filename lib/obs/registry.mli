@@ -2,7 +2,7 @@
 
     Three metric types — monotone counters, settable gauges, and
     {!Hist} duration histograms — addressed by dotted-path name
-    ("log.append", "pool.queue_wait").  Constructors are get-or-create:
+    ("log.append", "log.fsync").  Constructors are get-or-create:
     the first call registers, later calls return the same instance, and
     re-registering a name with a different type raises
     [Invalid_argument].  Updates go through Atomics (no lock on the hot

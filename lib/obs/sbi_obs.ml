@@ -1,7 +1,6 @@
 (** Observability layer: monotonic {!Clock}, typed metrics {!Registry}
-    over mergeable log2 {!Hist} histograms, {!Trace} spans propagated
-    across [Sbi_par.Domain_pool] tasks, and a {!Slowlog}.  See
-    docs/observability.md.
+    over mergeable log2 {!Hist} histograms, {!Trace} spans, and a
+    {!Slowlog}.  See docs/observability.md.
 
     [set_enabled false] turns every instrumentation point into a no-op
     (bench A/Bs this to gate overhead at <= 2%); reads and exports keep

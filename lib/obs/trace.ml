@@ -2,13 +2,7 @@
 
    A span context (stack of open span ids) is kept per (domain, thread):
    serve runs many systhreads per domain and [Thread.id] is only unique
-   within a domain, so the pair is the key.  Domain_pool tasks inherit
-   the submitter's context — module initialisation installs a task hook
-   which captures the parent span and submit timestamp on the submitting
-   thread, then re-establishes the context around the task body on the
-   worker.  Spans opened inside pooled work therefore parent correctly
-   across domains, and the submit-to-start gap is measured as the
-   [pool.queue_wait] histogram (vs. [pool.run] for the body itself).
+   within a domain, so the pair is the key.
 
    Completed spans land in a fixed-size ring (newest wins); export is a
    snapshot of the ring, text or JSON. *)
@@ -109,43 +103,6 @@ let with_span ?(args = "") ~name f =
           })
       f
   end
-
-let with_parent parent f =
-  let saved = stack () in
-  set_stack (match parent with None -> [] | Some p -> [ p ]);
-  Fun.protect ~finally:(fun () -> set_stack saved) f
-
-(* --- Domain_pool integration --- *)
-
-let pool_tasks = Registry.counter "pool.tasks"
-let pool_wait = Registry.histogram "pool.queue_wait"
-let pool_run = Registry.histogram "pool.run"
-
-(* Runs on the submitting thread at submit time (capturing the parent
-   span and the submit clock); the returned closure runs on a worker.
-   Inline pool paths (a worker's own block, nested async) never enqueue
-   and keep their natural context without this. *)
-let wrap_task task =
-  if not (Control.is_enabled ()) then task
-  else begin
-    let parent = current () in
-    let submitted = Clock.now_ns () in
-    fun () ->
-      Registry.incr pool_tasks;
-      let started = Clock.now_ns () in
-      Registry.observe_ns pool_wait (started - submitted);
-      Fun.protect
-        ~finally:(fun () -> Registry.observe_ns pool_run (Clock.now_ns () - started))
-        (fun () -> with_parent parent task)
-  end
-
-let () = Sbi_par.Domain_pool.set_task_hook wrap_task
-
-(* Bare fire-and-forget tasks that escape with an exception: the pool
-   already counts them per-pool and prints to stderr; this hook makes
-   them visible process-wide through the metrics registry. *)
-let pool_task_err = Registry.counter "pool.task_err"
-let () = Sbi_par.Domain_pool.add_error_hook (fun _exn -> Registry.incr pool_task_err)
 
 (* --- export --- *)
 

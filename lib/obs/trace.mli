@@ -4,20 +4,13 @@
     [with_span ~name f] opens a span around [f]: the span records its
     monotonic start time, duration, owning domain, and the id of the
     enclosing span on the same (domain, thread) — so nested calls form a
-    tree.  Contexts propagate across {!Sbi_par.Domain_pool} submission:
-    this module installs the pool's task hook at initialisation, which
-    captures the submitter's current span and re-establishes it around
-    the task on the worker, and measures the submit-to-start gap into
-    the [pool.queue_wait] registry histogram ([pool.run] times the body,
-    [pool.tasks] counts them, [pool.task_err] counts bare submit tasks
-    that escaped with an exception — see
-    {!Sbi_par.Domain_pool.add_error_hook}).
+    tree.
 
     All of it is a no-op while [Sbi_obs.set_enabled false]. *)
 
 type span = {
   id : int;
-  parent : int option;  (** enclosing span at open time, across pool hops *)
+  parent : int option;  (** enclosing span at open time *)
   name : string;
   args : string;
   start_ns : int;  (** monotonic ({!Clock.now_ns}), not wall time *)
@@ -32,11 +25,6 @@ val with_span : ?args:string -> name:string -> (unit -> 'a) -> 'a
 
 val current : unit -> int option
 (** Id of the innermost open span on this (domain, thread). *)
-
-val with_parent : int option -> (unit -> 'a) -> 'a
-(** Run [f] with the context stack replaced by the given parent
-    (restored after).  Used by the pool hook; useful for manual
-    cross-thread handoff. *)
 
 val recent : ?n:int -> unit -> span list
 (** The newest [n] (default: all) retained spans, oldest first. *)

@@ -8,12 +8,6 @@ type config = {
   timeout : float;
   fsync : bool;
   ingest_log : string option;
-  domains : int;
-  par_grain : int;
-      (* sequential cutoff for the query read path: a query whose work
-         estimate (runs × (npreds + nsites) popcount cells) is below this
-         runs inline on the request thread instead of round-tripping
-         through the domain pool *)
   max_request : int;
   io : Sbi_fault.Io.t;
   compact_every : float option;
@@ -37,8 +31,6 @@ let default_config addr =
     timeout = 30.;
     fsync = true;
     ingest_log = None;
-    domains = 1;
-    par_grain = 1 lsl 20;
     max_request = 1 lsl 20;
     io = Sbi_fault.Io.none;
     compact_every = None;
@@ -57,7 +49,6 @@ let max_batch_lines = 65_536
 type t = {
   config : config;
   mutable index : Index.t;  (* swapped by the compaction thread, under [lock] *)
-  pool : Sbi_par.Domain_pool.t option;  (* fans query rescoring *)
   lock : Mutex.t;  (* guards index state and the ingest writer *)
   metrics : Metrics.t;
   listen_fds : Unix.file_descr list;
@@ -83,22 +74,10 @@ let locked m f =
    Read-only queries (topk/pred/affinity) run on an epoch snapshot: the
    lock is held just long enough to fetch (or refresh) the index's
    cached {!Snapshot}, then the query computes on the immutable snapshot
-   with the lock released — readers never block ingest, and heavy
-   rescoring (affinity) fans across the domain pool.  [stats] and
+   with the lock released — readers never block ingest.  [stats] and
    [ingest] still run under t.lock. *)
 
 let grab_snapshot t = locked t.lock (fun () -> Index.snapshot t.index)
-
-(* Sequential-cutoff fast path: fan an affinity across the pool only when
-   its work estimate — runs × the rescoring cells of the predicates it
-   ranks — clears [config.par_grain].  A warm affinity over a small
-   corpus or a few candidates costs microseconds of popcounting — the
-   pool round-trip (enqueue, wake a domain, barrier) costs more than the
-   query itself, which is exactly what made serve latency *rise* with
-   [--domains] before. *)
-let query_pool t snap ~others =
-  let work = Snapshot.nruns snap * Triage.rescore_cells snap.Snapshot.meta others in
-  if work >= t.config.par_grain then t.pool else None
 
 let pred_text t pred = Dataset.pred_text t.index.Index.meta pred
 
@@ -206,10 +185,7 @@ let handle_affinity t snap arg k =
   | Ok pred ->
       let k = match k with Some k when k > 0 -> k | _ -> 10 in
       let retained = Prune.retained (Triage.Snap.counts snap) in
-      let entries =
-        Triage.Snap.affinity ?pool:(query_pool t snap ~others:retained) snap ~selected:pred
-          ~others:retained
-      in
+      let entries = Triage.Snap.affinity snap ~selected:pred ~others:retained in
       let rec take n = function [] -> [] | _ when n = 0 -> [] | x :: r -> x :: take (n - 1) r in
       let lines =
         List.map
@@ -612,13 +588,11 @@ let start config index =
   let listen_fds, listener_mode = make_listeners config sa domain in
   (* everything acquired below must be released if a later step raises
      (e.g. an unwritable --log dir): the listener fd, the bound socket
-     file, the domain pool, the ingest writer, the commit coordinator —
+     file, the ingest writer, the commit coordinator —
      a failed start leaks nothing and the address is immediately
      rebindable *)
-  let pool = ref None and writer = ref None and gc = ref None and ev = ref None in
+  let writer = ref None and gc = ref None and ev = ref None in
   match
-    (if config.domains > 1 then
-       pool := Some (Sbi_par.Domain_pool.create ~domains:config.domains ()));
     writer := open_ingest_writer config index;
     (match !writer with
     | Some w when config.fsync && config.group_commit_ms > 0. ->
@@ -633,7 +607,6 @@ let start config index =
       {
         config;
         index;
-        pool = !pool;
         lock = Mutex.create ();
         metrics = Metrics.create ();
         listen_fds;
@@ -684,9 +657,6 @@ let start config index =
       (match !writer with
       | Some w -> ( try ignore (Shard_log.close_writer w) with _ -> ())
       | None -> ());
-      (match !pool with
-      | Some p -> ( try Sbi_par.Domain_pool.shutdown p with _ -> ())
-      | None -> ());
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listen_fds;
       (match config.addr with
       | Wire.Unix_sock path when Sys.file_exists path -> (
@@ -710,7 +680,6 @@ let stop t =
     (match t.gc with Some gc -> Group_commit.stop gc | None -> ());
     locked t.lock (fun () ->
         match t.writer with Some w -> ignore (Shard_log.close_writer w) | None -> ());
-    (match t.pool with Some pool -> Sbi_par.Domain_pool.shutdown pool | None -> ());
     match t.config.addr with
     | Wire.Unix_sock path when Sys.file_exists path -> ( try Sys.remove path with Sys_error _ -> ())
     | _ -> ()

@@ -19,9 +19,8 @@
     epoch-snapshot read path: the lock is held only to fetch (or, after
     an ingest bumped the epoch, rebuild) the index's cached bitmap
     {!Sbi_index.Snapshot}; the query then computes on the immutable
-    snapshot with the lock released.  Readers never block ingest, and
-    with [domains > 1] snapshot rebuilds and per-predicate rescoring
-    fan across a {!Sbi_par.Domain_pool}.
+    snapshot with the lock released, on the dispatch worker that took
+    the request.  Readers never block ingest.
 
     Queries ([topk], [pred], [affinity], [stats], [ping]) read the open
     {!Index}; [topk] and [pred] accept an optional [formula=NAME]
@@ -58,19 +57,6 @@ type config = {
   ingest_log : string option;
       (** shard-log directory for durable ingest; [None] disables the
           [ingest] command *)
-  domains : int;
-      (** analysis domains; [> 1] spawns a {!Sbi_par.Domain_pool} that
-          parallelizes snapshot rebuilds and affinity rescoring (clamped
-          to the hardware domain count — extra domains only add GC
-          synchronization cost) *)
-  par_grain : int;
-      (** sequential-cutoff work threshold for the query read path: an
-          [affinity] whose estimated work — snapshot runs × the
-          rescoring cells of the predicates it ranks (the retained
-          predicates plus their distinct sites, {!Sbi_index.Triage.rescore_cells})
-          — is below this runs inline on the request thread instead of
-          round-tripping through the pool.  Default [2^20] cells; [0]
-          fans every affinity out. *)
   max_request : int;
       (** byte bound on any single request line; an oversized request is
           rejected ([err] + close) and counted as a [fault.oversize] *)
@@ -114,10 +100,9 @@ type config = {
 
 val default_config : Wire.addr -> config
 (** What [cbi serve] runs: 30s idle deadline, fsync on, no ingest log,
-    1 domain, [2^20]-cell parallel cutoff, 1 MiB request bound,
-    passthrough I/O, no background compaction, 2 ms group-commit window
-    flushing at 512 pending reports, one event loop, 4096-connection
-    cap. *)
+    1 MiB request bound, passthrough I/O, no background compaction, 2 ms
+    group-commit window flushing at 512 pending reports, one event loop,
+    4096-connection cap. *)
 
 val max_batch_lines : int
 (** Hard cap on reports per [ingest-batch] request (65536); larger

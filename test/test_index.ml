@@ -47,9 +47,9 @@ let nsites = 5
 let npreds = 10
 let pred_site = [| 0; 0; 1; 1; 2; 2; 3; 3; 4; 4 |]
 
-(* A wider table for the candidate-restriction tests: a candidate subset
-   there spans more rescoring cells than [Triage.rescore_grain], so a pool
-   really fans the kernel out. *)
+(* A wider table for the candidate-restriction tests: 24 sites of three
+   predicates each, so a random candidate subset usually spans many
+   sites and leaves many others out. *)
 let wide_nsites = 24
 let wide_pred_site = Array.init 72 (fun p -> p / 3)
 
@@ -475,48 +475,6 @@ let qcheck_snapshot_cache =
           done;
           true))
 
-(* Parallel rescoring partitions the predicate space into static blocks
-   with disjoint writes, so any pool size must reproduce the sequential
-   integers exactly — same selections, same scores, under all three §5
-   discard proposals. *)
-let qcheck_parallel_elimination =
-  QCheck2.Test.make ~name:"parallel elimination bit-identical to Analysis (all discards)"
-    ~count:8
-    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 2 5))
-    (fun (seed, domains) ->
-      with_temp_dir (fun tmp ->
-          let log = Filename.concat tmp "log" in
-          let idx_dir = Filename.concat tmp "idx" in
-          let st = Random.State.make [| seed; 0x9a7 |] in
-          let reports = random_reports st ~start_id:0 (30 + Random.State.int st 30) in
-          write_log ~dir:log reports;
-          ignore (Index.build ~log ~dir:idx_dir ());
-          let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains () in
-          Fun.protect
-            ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-            (fun () ->
-              let idx = Index.open_par ~pool ~dir:idx_dir in
-              (* tail runs exercise the tail view on the parallel path too *)
-              let live = random_reports st ~start_id:(Array.length reports) 6 in
-              Array.iter (Index.append idx) live;
-              let ds = dataset_of (Array.append reports live) in
-              check_equivalent ~msg:"parallel open + snapshot" idx ds;
-              List.for_all
-                (fun discard ->
-                  let seq = Triage.eliminate ~discard idx in
-                  let par = Triage.eliminate ~pool ~discard idx in
-                  let reference = Sbi_core.Eliminate.run ~discard ds in
-                  elimination_equal par reference && elimination_equal seq reference
-                  &&
-                  let a = Triage.affinity idx ~selected:3 ~others:[ 0; 1; 2; 4 ] in
-                  let b = Triage.affinity ~pool idx ~selected:3 ~others:[ 0; 1; 2; 4 ] in
-                  a = b)
-                [
-                  Sbi_core.Eliminate.Discard_all_true;
-                  Sbi_core.Eliminate.Discard_failing_true;
-                  Sbi_core.Eliminate.Relabel_failing;
-                ])))
-
 let qcheck_cooccurrence =
   QCheck2.Test.make ~name:"posting-list co-occurrence = report rescan" ~count:20
     QCheck2.Gen.(triple (int_range 0 10_000) (int_range 0 (npreds - 1)) (int_range 0 (npreds - 1)))
@@ -692,9 +650,9 @@ let test_tail_bits_lazy () =
           Alcotest.(check int) "second affinity at the same epoch reuses them" 1
             (count_spans "index.tail_bits")))
 
-(* First use of the tail view from a 4-domain pool: four racers line up
-   and reach the not-yet-built bitmaps together, exactly one builds them,
-   and every answer matches the sequential computation on an identical
+(* First use of the tail view from 4 domains: four racers line up and
+   reach the not-yet-built bitmaps together, exactly one builds them, and
+   every answer matches the sequential computation on an identical
    index. *)
 let test_tail_view_concurrent_first_use () =
   with_live_index ~seed:32 ~live:25 (fun open_live ->
@@ -711,22 +669,20 @@ let test_tail_view_concurrent_first_use () =
         Array.init racers (answers snap)
       in
       let snap = Index.snapshot (open_live ()) in
-      let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains:racers () in
-      let arrived = Atomic.make 0 and parallel = Array.make racers [] in
+      let arrived = Atomic.make 0 in
       with_tracing (fun () ->
-          Fun.protect
-            ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-            (fun () ->
-              (* one racer per domain; each waits (bounded) for the others *)
-              Sbi_par.Domain_pool.parallel_for pool ~grain:1 ~n:racers (fun lo hi ->
-                  for i = lo to hi - 1 do
+          (* one racer per domain; each waits (bounded) for the others *)
+          let parallel =
+            Array.init racers (fun i ->
+                Domain.spawn (fun () ->
                     Atomic.incr arrived;
                     let deadline = Unix.gettimeofday () +. 2.0 in
                     while Atomic.get arrived < racers && Unix.gettimeofday () < deadline do
                       Unix.sleepf 0.0001
                     done;
-                    parallel.(i) <- answers snap i
-                  done));
+                    answers snap i))
+            |> Array.map Domain.join
+          in
           Alcotest.(check int) "tail bitmaps built exactly once" 1
             (count_spans "index.tail_bits");
           Alcotest.(check bool) "parallel first use = sequential" true (parallel = sequential)))
@@ -763,9 +719,8 @@ let random_strict_subset st =
 
 (* The kernel counts only the predicates being ranked, so elimination over
    an explicit candidate subset and affinity over a subset of [others]
-   must still equal Sbi_core bit for bit — sequentially and on a
-   4-domain pool, over on-disk segments plus a live tail, under all three
-   §5 discard proposals. *)
+   must still equal Sbi_core bit for bit — over on-disk segments plus a
+   live tail, under all three §5 discard proposals. *)
 let qcheck_candidate_subsets =
   QCheck2.Test.make ~name:"strict-subset candidates: elimination and affinity = Sbi_core"
     ~count:10
@@ -773,34 +728,28 @@ let qcheck_candidate_subsets =
     (fun seed ->
       let st = Random.State.make [| seed; 0xca7 |] in
       with_wide_index ~st ~tail:(1 + Random.State.int st 12) (fun idx ds ->
-          let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains:4 () in
-          Fun.protect
-            ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-            (fun () ->
-              let same_elim a b = compare a b = 0 && elimination_bits a = elimination_bits b in
-              let same_aff a b = compare a b = 0 && affinity_bits a = affinity_bits b in
-              let reference = Sbi_core.Analysis.analyze ds in
-              List.for_all
-                (fun discard ->
-                  let s = random_strict_subset st in
-                  let expected = Sbi_core.Eliminate.run ~discard ~candidates:s ds in
-                  same_elim (Triage.eliminate ~discard ~candidates:s idx) expected
-                  && same_elim (Triage.eliminate ~pool ~discard ~candidates:s idx) expected
-                  &&
-                  let s = random_strict_subset st in
-                  let selected = Random.State.int st (Array.length wide_pred_site) in
-                  let expected =
-                    Sbi_core.Analysis.affinity_for
-                      { reference with Sbi_core.Analysis.retained = s }
-                      ~pred:selected
-                  in
-                  same_aff (Triage.affinity idx ~selected ~others:s) expected
-                  && same_aff (Triage.affinity ~pool idx ~selected ~others:s) expected)
-                [
-                  Sbi_core.Eliminate.Discard_all_true;
-                  Sbi_core.Eliminate.Discard_failing_true;
-                  Sbi_core.Eliminate.Relabel_failing;
-                ])))
+          let same_elim a b = compare a b = 0 && elimination_bits a = elimination_bits b in
+          let same_aff a b = compare a b = 0 && affinity_bits a = affinity_bits b in
+          let reference = Sbi_core.Analysis.analyze ds in
+          List.for_all
+            (fun discard ->
+              let s = random_strict_subset st in
+              same_elim
+                (Triage.eliminate ~discard ~candidates:s idx)
+                (Sbi_core.Eliminate.run ~discard ~candidates:s ds)
+              &&
+              let s = random_strict_subset st in
+              let selected = Random.State.int st (Array.length wide_pred_site) in
+              same_aff
+                (Triage.affinity idx ~selected ~others:s)
+                (Sbi_core.Analysis.affinity_for
+                   { reference with Sbi_core.Analysis.retained = s }
+                   ~pred:selected))
+            [
+              Sbi_core.Eliminate.Discard_all_true;
+              Sbi_core.Eliminate.Discard_failing_true;
+              Sbi_core.Eliminate.Relabel_failing;
+            ]))
 
 (* A cold analysis loads, per on-disk segment, at most the retained
    predicates' postings and their distinct sites' postings — not the
@@ -977,14 +926,13 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_index_matches_analysis;
     QCheck_alcotest.to_alcotest qcheck_discard_proposals;
     QCheck_alcotest.to_alcotest qcheck_snapshot_cache;
-    QCheck_alcotest.to_alcotest qcheck_parallel_elimination;
+    QCheck_alcotest.to_alcotest qcheck_candidate_subsets;
     QCheck_alcotest.to_alcotest qcheck_cooccurrence;
     QCheck_alcotest.to_alcotest qcheck_interleaved_ingest_bit_identity;
     Alcotest.test_case "tail bitmaps built lazily, once per snapshot" `Quick
       test_tail_bits_lazy;
     Alcotest.test_case "tail view first used from 4 domains builds once" `Quick
       test_tail_view_concurrent_first_use;
-    QCheck_alcotest.to_alcotest qcheck_candidate_subsets;
     Alcotest.test_case "cold analysis loads only retained postings" `Quick
       test_cold_analysis_posting_loads;
   ]

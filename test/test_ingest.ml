@@ -109,6 +109,132 @@ let qcheck_codec_round_trip =
   QCheck2.Test.make ~name:"codec round-trips arbitrary reports" ~count:300 gen_report
     (fun r -> report_equal r (Codec.decode (Codec.encode r)))
 
+(* --- hostile payloads --- *)
+
+(* Nine bytes whose last 7-bit group sets bit 62, the sign bit of a
+   63-bit int: well-formed LEB128, but no non-negative int. *)
+let wide_varint = String.make 8 '\xff' ^ "\x40"
+
+(* A failing run's payload by hand: version and run id, then [body]. *)
+let raw_payload ?(run_id = 7) body =
+  let b = Buffer.create 32 in
+  Codec.add_varint b Codec.version;
+  Codec.add_varint b run_id;
+  Buffer.add_char b '\001';
+  Buffer.add_string b body;
+  Buffer.contents b
+
+let expect_corrupt what s =
+  match Codec.decode s with
+  | exception Codec.Corrupt _ -> ()
+  | _ -> Alcotest.failf "%s: decoded" what
+
+let test_codec_rejects_wide_varints () =
+  (match Codec.read_varint wide_varint (ref 0) (String.length wide_varint) with
+  | exception Codec.Corrupt _ -> ()
+  | v -> Alcotest.failf "varint past max_int read as %d" v);
+  let buf = Buffer.create 9 in
+  Codec.add_varint buf max_int;
+  let s = Buffer.contents buf in
+  Alcotest.(check int) "max_int still round-trips" max_int
+    (Codec.read_varint s (ref 0) (String.length s));
+  (* in every integer field the decoder reads before the counts *)
+  expect_corrupt "run id" ("\001" ^ wide_varint ^ "\001\000\000\000\000");
+  expect_corrupt "site count" (raw_payload (wide_varint ^ "\000\000\000\000"));
+  expect_corrupt "predicate count" (raw_payload ("\000" ^ wide_varint ^ "\000\000"));
+  expect_corrupt "bug count" (raw_payload ("\000\000" ^ wide_varint ^ "\000"));
+  expect_corrupt "signature length" (raw_payload ("\000\000\000\001" ^ wide_varint))
+
+let test_codec_rejects_duplicate_ids () =
+  (* sites [0; 2], then predicates [0; 0]: a zero delta *)
+  expect_corrupt "repeated predicate" (raw_payload "\002\000\002\002\000\000\001\001\000\000");
+  expect_corrupt "repeated site" (raw_payload "\002\001\000\000\000\000");
+  (* a delta sum past max_int wraps below its predecessor *)
+  let b = Buffer.create 16 in
+  Buffer.add_char b '\002';
+  Codec.add_varint b 5;
+  Codec.add_varint b max_int;
+  Buffer.add_string b "\000\000\000";
+  expect_corrupt "overflowing delta" (raw_payload (Buffer.contents b));
+  (* the writer refuses what its reader would reject *)
+  List.iter
+    (fun (what, r) ->
+      match Codec.encode r with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: encoded" what)
+    [
+      ("repeated predicate", mk_report ~sites:[| 0; 2 |] ~preds:[| 0; 0 |] 1);
+      ("repeated site", mk_report ~sites:[| 1; 1 |] 1);
+      ("descending predicates", mk_report ~sites:[| 0 |] ~preds:[| 3; 1 |] 1);
+    ]
+
+let strictly_ascending a =
+  let ok = ref true in
+  Array.iteri (fun i v -> if v < 0 || (i > 0 && v <= a.(i - 1)) then ok := false) a;
+  !ok
+
+(* [Report.t]'s documented invariants *)
+let well_formed (r : Report.t) =
+  r.Report.run_id >= 0
+  && strictly_ascending r.Report.observed_sites
+  && strictly_ascending r.Report.true_preds
+  && Array.length r.Report.true_counts = Array.length r.Report.true_preds
+  && Array.for_all (fun v -> v >= 0) r.Report.true_counts
+  && Array.for_all (fun v -> v >= 0) r.Report.bugs
+
+(* Whatever bytes arrive, [Codec.decode] returns a well-formed report or
+   raises [Corrupt]: never another exception, which would escape the
+   server's per-report rejection.  Inputs are arbitrary bytes and valid
+   records with one byte replaced, a wide varint spliced over one byte,
+   or the tail cut off. *)
+let qcheck_codec_hostile_bytes =
+  let small_report =
+    QCheck2.Gen.(
+      let ids upper =
+        map
+          (fun l -> Array.of_list (List.sort_uniq compare l))
+          (list_size (int_range 0 6) (int_range 0 upper))
+      in
+      map
+        (fun (id, fail, sites, preds, bugs, sg) ->
+          mk_report
+            ~outcome:(if fail then Report.Failure else Report.Success)
+            ~sites ~preds ~bugs:(Array.of_list bugs) ?crash_sig:sg id)
+        (tup6 (int_range 0 300) bool (ids 40) (ids 120)
+           (list_size (int_range 0 3) (int_range 0 9))
+           (option (string_size (int_range 0 4)))))
+  in
+  let at s k = k mod String.length s in
+  let hostile =
+    QCheck2.Gen.(
+      oneof
+        [
+          string_size (int_range 0 40);
+          map3
+            (fun r k c ->
+              let s = Bytes.of_string (Codec.encode r) in
+              Bytes.set s (k mod Bytes.length s) c;
+              Bytes.to_string s)
+            small_report nat char;
+          map2
+            (fun r k ->
+              let s = Codec.encode r in
+              let k = at s k in
+              String.sub s 0 k ^ wide_varint ^ String.sub s (k + 1) (String.length s - k - 1))
+            small_report nat;
+          map2
+            (fun r k ->
+              let s = Codec.encode r in
+              String.sub s 0 (k mod String.length s))
+            small_report nat;
+        ])
+  in
+  QCheck2.Test.make ~name:"codec decode: hostile bytes give a report or Corrupt" ~count:500
+    ~print:String.escaped hostile (fun s ->
+      match Codec.decode s with
+      | exception Codec.Corrupt _ -> true
+      | r -> well_formed r)
+
 (* --- framing --- *)
 
 let frame_all reports =
@@ -413,4 +539,8 @@ let suite =
     Alcotest.test_case "parallel log = sequential dataset" `Quick test_par_collect_to_log_equals_sequential;
     Alcotest.test_case "parallel collection with first_run" `Quick test_par_collect_first_run;
     Alcotest.test_case "atomic dataset save" `Quick test_atomic_save_no_droppings;
+    Alcotest.test_case "codec rejects varints past max_int" `Quick
+      test_codec_rejects_wide_varints;
+    Alcotest.test_case "codec rejects repeated ids" `Quick test_codec_rejects_duplicate_ids;
+    QCheck_alcotest.to_alcotest qcheck_codec_hostile_bytes;
   ]

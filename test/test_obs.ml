@@ -1,5 +1,5 @@
-(* Observability layer: clock, histogram, registry, trace spans (inline
-   and across Domain_pool submission), slow-query log, enable switch. *)
+(* Observability layer: clock, histogram, registry, trace spans,
+   slow-query log, enable switch. *)
 
 open Sbi_obs
 
@@ -168,30 +168,6 @@ let test_trace_nesting () =
   ignore (find_span "t.raise");
   Alcotest.(check bool) "context popped after raise" true (Trace.current () = None)
 
-let test_trace_across_pool () =
-  Trace.clear ();
-  let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-    (fun () ->
-      let fut = ref None in
-      Trace.with_span ~name:"t.submit" (fun () ->
-          fut :=
-            Some
-              (Sbi_par.Domain_pool.async pool (fun () ->
-                   Trace.with_span ~name:"t.task" (fun () -> 21 * 2))));
-      match !fut with
-      | None -> Alcotest.fail "no future"
-      | Some f ->
-          Alcotest.(check int) "task result" 42 (Sbi_par.Domain_pool.await f);
-          let submit = find_span "t.submit" and task = find_span "t.task" in
-          Alcotest.(check bool)
-            "task span parented to submitter's span across the pool hop" true
-            (task.parent = Some submit.id);
-          Alcotest.(check bool)
-            "pool.queue_wait observed" true
-            (Hist.total (Registry.histogram "pool.queue_wait") > 0))
-
 let test_trace_ring () =
   Trace.clear ();
   Trace.set_capacity 4;
@@ -294,7 +270,6 @@ let suite =
     Alcotest.test_case "registry intern" `Quick test_registry_intern;
     Alcotest.test_case "timer sampling" `Quick test_timer_sampling;
     Alcotest.test_case "trace nesting" `Quick test_trace_nesting;
-    Alcotest.test_case "trace across domain pool" `Quick test_trace_across_pool;
     Alcotest.test_case "trace ring retention" `Quick test_trace_ring;
     Alcotest.test_case "trace line format" `Quick test_trace_lines;
     Alcotest.test_case "slowlog" `Quick test_slowlog;

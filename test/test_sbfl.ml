@@ -253,8 +253,7 @@ let write_log ~dir ?(shard = 0) reports =
   ignore (Shard_log.close_writer w)
 
 (* topk through Triage.Snap must match topk_f importance pred-for-pred and
-   bit-for-bit — including after incremental ingest bumps the epoch — and
-   stay identical when the index was opened by a domain pool. *)
+   bit-for-bit — including after incremental ingest bumps the epoch. *)
 let qcheck_snapshot_path_bit_identical =
   QCheck2.Test.make ~name:"Triage topk_f importance = topk (snapshot path, incl. ingest)"
     ~count:12
@@ -285,14 +284,7 @@ let qcheck_snapshot_path_bit_identical =
           (* incremental ingest: live-tail appends bump the epoch *)
           Array.iter (Index.append idx) (random_reports st ~start_id:60 15);
           let ok1 = same (Index.snapshot idx) in
-          (* domain-parallel open must not change the ranking *)
-          let pool = Sbi_par.Domain_pool.create ~clamp:false ~domains:2 () in
-          let ok2 =
-            Fun.protect
-              ~finally:(fun () -> Sbi_par.Domain_pool.shutdown pool)
-              (fun () -> same (Index.snapshot (Index.open_par ~pool ~dir)))
-          in
-          ok0 && ok1 && ok2))
+          ok0 && ok1))
 
 (* --- evaluation harness on a synthetic ground truth --- *)
 

@@ -17,7 +17,6 @@ let () =
       ("ingest", Test_ingest.suite);
       ("json", Test_json.suite);
       ("obs", Test_obs.suite);
-      ("par", Test_par.suite);
       ("store", Test_store.suite);
       ("index", Test_index.suite);
       ("sbfl", Test_sbfl.suite);

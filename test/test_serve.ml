@@ -669,6 +669,47 @@ let test_quit_is_not_a_fault ~acceptors () =
       Alcotest.(check int) "a drop mid-request counts one fault.reset" 1 (resets 250);
       Client.close c)
 
+(* Hostile payloads in one batch: a wide varint as the site count (no
+   non-negative int) and a predicate id repeated by a zero delta.  Each
+   gets its own [err] line; the valid report beside them is acked,
+   durable and visible, and no exception reaches the dispatcher. *)
+let test_server_ingest_batch_hostile () =
+  with_server ~acceptors:1 (fun ~srv ~addr ~idx ~ingest_dir ->
+      let c = connect_ok addr in
+      let payload body =
+        let b = Buffer.create 32 in
+        Codec.add_varint b Codec.version;
+        Codec.add_varint b 2501;
+        Buffer.add_char b '\001';
+        Buffer.add_string b body;
+        Buffer.contents b
+      in
+      let wide_count = payload (String.make 8 '\xff' ^ "\x40\000\000\000\000") in
+      let repeated_pred = payload "\002\000\002\002\000\000\001\001\000\000" in
+      let valid = mk_report ~outcome:Report.Failure ~sites:[| 0; 2 |] ~preds:[| 0; 4 |] 2500 in
+      let body =
+        List.map B64.encode [ Codec.encode valid; wide_count; repeated_pred ]
+        |> String.concat "\n"
+      in
+      (match Client.request c ("ingest-batch\n" ^ body ^ "\n.") with
+      | Ok (header, lines) ->
+          Alcotest.(check string) "one accepted, two rejected" "ingest-batch 1 2" header;
+          Alcotest.(check int) "one status per report" 3 (List.length lines);
+          Alcotest.(check string) "valid report acked" "ok 2500" (List.hd lines);
+          List.iter
+            (fun l ->
+              if not (String.starts_with ~prefix:"err bad report payload" l) then
+                Alcotest.failf "hostile payload answered %S" l)
+            (List.tl lines)
+      | Error e -> Alcotest.failf "mixed batch failed: %s" e);
+      let ds, _ = Shard_log.read_all ~dir:ingest_dir in
+      Alcotest.(check int) "valid report durable" 1 (Dataset.nruns ds);
+      Alcotest.(check int) "valid report visible" 1 (Index.tail_count idx);
+      Alcotest.(check int) "server counter" 1 (Server.ingested srv);
+      let _, stats = request_ok c "stats" in
+      Alcotest.(check int) "no internal error" 0 (fault_count stats "error");
+      Client.close c)
+
 let test_start_failure_releases_resources () =
   (* the regression: start bound the socket, spawned the pool, then died
      opening the ingest writer — leaking the listen fd and the bound
@@ -1152,4 +1193,6 @@ let suite =
         test_start_failure_releases_resources;
       Alcotest.test_case "poll primitives beyond fd 1024" `Slow test_poll_beyond_1024;
       Alcotest.test_case "2k-connection churn storm" `Slow test_connection_churn;
+      Alcotest.test_case "ingest-batch rejects hostile payloads one by one" `Quick
+        test_server_ingest_batch_hostile;
     ]

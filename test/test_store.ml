@@ -1,5 +1,6 @@
-(* Tests for the tiered-store primitives beneath the index: compressed
-   run bitmaps (Rbitmap) against the dense Bitset reference across every
+(* Tests for the tiered-store primitives beneath the index: the dense
+   Bitset kernels against bit-at-a-time references, compressed run
+   bitmaps (Rbitmap) against the dense Bitset reference across every
    counting kernel, the cost-budgeted LRU posting cache, the size-tiered
    compaction planner, and the segment v2 footer's lazy-read path. *)
 open Sbi_store
@@ -17,7 +18,7 @@ let with_temp_dir f =
   Sys.mkdir dir 0o700;
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
 
-(* --- compressed bitmaps vs the dense reference --- *)
+(* --- random bitsets (shared by the kernel properties) --- *)
 
 (* A bitset whose density changes in stretches, so one value exercises
    every container shape: empty chunks, sparse position arrays, dense
@@ -43,6 +44,67 @@ let positions_of_bitset b =
     if Bitset.get b i then out := i :: !out
   done;
   Array.of_list !out
+
+(* --- dense bitset kernels vs bit-at-a-time references --- *)
+
+let naive_inter_count a b len =
+  let n = ref 0 in
+  for i = 0 to len - 1 do
+    if Bitset.get a i && Bitset.get b i then incr n
+  done;
+  !n
+
+let naive_inter_count3 a b c len =
+  let n = ref 0 in
+  for i = 0 to len - 1 do
+    if Bitset.get a i && Bitset.get b i && Bitset.get c i then incr n
+  done;
+  !n
+
+let qcheck_kernels =
+  QCheck2.Test.make ~name:"bitset kernels = bit-at-a-time reference" ~count:100
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 0 300))
+    (fun (seed, len) ->
+      let st = Random.State.make [| seed; 0xb17 |] in
+      let a = random_bitset st len
+      and b = random_bitset st len
+      and c = random_bitset st len in
+      let ok_counts =
+        Bitset.count a = naive_inter_count a a len
+        && Bitset.inter_count a b = naive_inter_count a b len
+        && Bitset.inter_count3 a b c = naive_inter_count3 a b c len
+      in
+      (* diff_inplace: a := a \ b *)
+      let d = Bitset.copy a in
+      Bitset.diff_inplace d b;
+      let ok_diff =
+        Array.init len (fun i -> Bitset.get d i)
+        = Array.init len (fun i -> Bitset.get a i && not (Bitset.get b i))
+      in
+      (* diff_inter_inplace: a := a \ (b ∧ c) *)
+      let e = Bitset.copy a in
+      Bitset.diff_inter_inplace e b c;
+      let ok_diff3 =
+        Array.init len (fun i -> Bitset.get e i)
+        = Array.init len (fun i -> Bitset.get a i && not (Bitset.get b i && Bitset.get c i))
+      in
+      (* full: every bit below len set, none above (popcount proves the tail) *)
+      let f = Bitset.full len in
+      let ok_full = Bitset.count f = len && Bitset.inter_count f a = Bitset.count a in
+      ok_counts && ok_diff && ok_diff3 && ok_full)
+
+let qcheck_of_positions =
+  QCheck2.Test.make ~name:"of_positions = set loop" ~count:100
+    QCheck2.Gen.(pair (int_range 1 500) (list_size (int_range 0 50) (int_range 0 499)))
+    (fun (len, positions) ->
+      let positions = List.filter (fun p -> p < len) positions in
+      let a = Bitset.of_positions len (Array.of_list positions) in
+      let b = Bitset.create len in
+      List.iter (Bitset.set b) positions;
+      Array.init len (fun i -> Bitset.get a i) = Array.init len (fun i -> Bitset.get b i)
+      && Bitset.count a = List.length (List.sort_uniq Int.compare positions))
+
+(* --- compressed bitmaps vs the dense reference --- *)
 
 (* lengths around the chunk boundary plus a ~2.2-chunk multi-chunk case *)
 let interesting_lengths =
@@ -350,4 +412,6 @@ let suite =
     Alcotest.test_case "empty postings need no file I/O" `Quick test_empty_posting_no_io;
     Alcotest.test_case "segment v1 fallback + footer corruption" `Quick
       test_footer_v1_and_corruption;
+    QCheck_alcotest.to_alcotest qcheck_kernels;
+    QCheck_alcotest.to_alcotest qcheck_of_positions;
   ]
