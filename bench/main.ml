@@ -27,7 +27,6 @@ let config =
     Harness.seed = 42;
     nruns = Some bench_runs;
     sampling = Harness.Adaptive bench_train;
-    confidence = 0.95;
   }
 
 (* --- one-time setup: collect every study's bundle --- *)
@@ -216,6 +215,15 @@ let index_tests () =
       (Staged.stage (fun () -> Sbi_index.Triage.pred_detail idx ~pred:selected));
     Test.make ~name:"index:affinity"
       (Staged.stage (fun () -> Sbi_index.Triage.affinity idx ~selected ~others:retained));
+    Test.make ~name:"index:eliminate:p1"
+      (Staged.stage (fun () ->
+           Sbi_index.Triage.eliminate ~discard:Sbi_core.Eliminate.Discard_all_true idx));
+    Test.make ~name:"index:eliminate:p2"
+      (Staged.stage (fun () ->
+           Sbi_index.Triage.eliminate ~discard:Sbi_core.Eliminate.Discard_failing_true idx));
+    Test.make ~name:"index:eliminate:p3"
+      (Staged.stage (fun () ->
+           Sbi_index.Triage.eliminate ~discard:Sbi_core.Eliminate.Relabel_failing idx));
     Test.make ~name:"index:cooccur-postings"
       (Staged.stage (fun () -> Sbi_index.Triage.cooccurrence idx ~a:selected ~b:other));
     Test.make ~name:"index:cooccur-rescan" (Staged.stage cooccur_rescan);

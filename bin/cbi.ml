@@ -60,7 +60,6 @@ let config_of ~seed ~runs ~quick ~sampling ~engine =
       let base = if quick then Harness.quick_config else Harness.default_config in
       Ok
         {
-          base with
           Harness.seed;
           nruns = (match runs with Some n -> Some n | None -> base.Harness.nruns);
           sampling = (if quick && sampling = "adaptive:1000" then base.Harness.sampling
@@ -865,10 +864,6 @@ let serve_cmd =
            ~doc:"Per-connection idle deadline: a connection that sends no request, or \
                  stops reading its responses, for SECS is closed.  0 disables it.")
   in
-  let timeout_ms_t =
-    Arg.(value & opt (some int) None & info [ "timeout-ms" ] ~docv:"MS"
-           ~doc:"Per-connection idle deadline in milliseconds (overrides --timeout).")
-  in
   let max_request_t =
     Arg.(value & opt int d.max_request & info [ "max-request-bytes" ] ~docv:"BYTES"
            ~doc:"Reject any request line longer than this (the connection is closed \
@@ -928,7 +923,7 @@ let serve_cmd =
            ~doc:"Connection admission cap: a client beyond it is answered with a \
                  one-line 'err busy' and closed instead of hanging.")
   in
-  let run idx_dir addr timeout timeout_ms max_request no_fsync ingest_log update slow_ms
+  let run idx_dir addr timeout max_request no_fsync ingest_log update slow_ms
       compact_every tier_max group_commit_ms max_batch acceptors max_conns =
     let addr = or_fail (Sbi_serve.Wire.addr_of_string addr) in
     (match slow_ms with
@@ -965,9 +960,6 @@ let serve_cmd =
       prerr_endline "cbi: --max-conns must be >= 1";
       exit 2
     end;
-    let timeout =
-      match timeout_ms with Some ms -> float_of_int ms /. 1000. | None -> timeout
-    in
     let open_index () =
       match Sbi_index.Index.open_ ~dir:idx_dir with
       | idx -> idx
@@ -1045,7 +1037,7 @@ let serve_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ idx_t $ addr_t $ timeout_t $ timeout_ms_t $ max_request_t $ no_fsync_t
+      const run $ idx_t $ addr_t $ timeout_t $ max_request_t $ no_fsync_t
       $ ingest_log_t $ update_t $ slow_ms_t $ compact_every_t $ serve_tier_max_t
       $ group_commit_ms_t $ max_batch_t $ acceptors_t $ max_conns_t)
 

@@ -74,7 +74,6 @@ let () =
               Harness.seed = 42;
               nruns = Some nruns;
               sampling;
-              confidence = 0.95;
             }
           in
           let bundle = ref None in

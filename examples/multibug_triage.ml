@@ -19,7 +19,6 @@ let config =
     Harness.seed = 7;
     nruns = Some 1000;
     sampling = Harness.Adaptive 150;
-    confidence = 0.95;
   }
 
 let () =

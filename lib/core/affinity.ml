@@ -1,5 +1,3 @@
-open Sbi_runtime
-
 type entry = {
   pred : int;
   importance_before : float;
@@ -7,20 +5,18 @@ type entry = {
   drop : float;
 }
 
-let list ?(confidence = 0.95) ds ~selected ~others =
-  let counts_before = Counts.compute ds in
-  let without =
-    Dataset.filter_runs ds (fun r -> not (Report.is_true r selected))
-  in
-  let counts_after = Counts.compute without in
+let of_runs ~before (rs : Eliminate.run_set) ~selected ~others =
+  rs.Eliminate.discard Eliminate.Discard_all_true selected;
+  let after = rs.Eliminate.counts others in
   let entries =
     List.filter_map
       (fun pred ->
         if pred = selected then None
         else begin
-          let before = (Scores.score ~confidence counts_before ~pred).Scores.importance in
-          let after = (Scores.score ~confidence counts_after ~pred).Scores.importance in
-          Some { pred; importance_before = before; importance_after = after; drop = before -. after }
+          let importance_before = (Scores.score before ~pred).Scores.importance in
+          let importance_after = (Scores.score after ~pred).Scores.importance in
+          let drop = importance_before -. importance_after in
+          Some { pred; importance_before; importance_after; drop }
         end)
       others
   in
@@ -28,6 +24,9 @@ let list ?(confidence = 0.95) ds ~selected ~others =
     (fun a b ->
       match Float.compare b.drop a.drop with 0 -> Int.compare a.pred b.pred | n -> n)
     entries
+
+let list ds ~selected ~others =
+  of_runs ~before:(Counts.compute ds) (Eliminate.dataset_runs ds) ~selected ~others
 
 let top_affine = function
   | { drop; pred; _ } :: _ when drop > 0. -> Some pred

@@ -14,13 +14,20 @@ type entry = {
   drop : float;
 }
 
-val list :
-  ?confidence:float ->
-  Sbi_runtime.Dataset.t ->
+val of_runs :
+  before:Counts.t ->
+  Eliminate.run_set ->
   selected:int ->
   others:int list ->
   entry list
-(** Ranked by descending drop.  [others] typically comes from the
+(** One {!Eliminate.Discard_all_true} step for [selected] on the run set,
+    then each of [others] (except [selected]) rescored on what remains
+    and ranked by descending drop, ties by ascending id.  [before] must
+    be the exact counts of the run set as given; the run set is left with
+    [selected]'s runs discarded. *)
+
+val list : Sbi_runtime.Dataset.t -> selected:int -> others:int list -> entry list
+(** {!of_runs} over the dataset's runs.  [others] typically comes from the
     elimination result or the pruned candidate set. *)
 
 val top_affine : entry list -> int option

@@ -7,12 +7,10 @@ type t = {
   elimination : Eliminate.result;
 }
 
-let analyze ?discard ?(confidence = 0.95) ?max_selections ds =
+let analyze ?discard ?max_selections ds =
   let counts = Counts.compute ds in
-  let retained = Prune.retained ~confidence counts in
-  let elimination =
-    Eliminate.run ?discard ~confidence ?max_selections ~candidates:retained ds
-  in
+  let retained = Prune.retained counts in
+  let elimination = Eliminate.run ?discard ?max_selections ~candidates:retained ds in
   { dataset = ds; counts; retained; elimination }
 
 type summary = {

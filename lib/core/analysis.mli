@@ -11,7 +11,6 @@ type t = {
 
 val analyze :
   ?discard:Eliminate.discard ->
-  ?confidence:float ->
   ?max_selections:int ->
   Sbi_runtime.Dataset.t ->
   t

@@ -46,9 +46,23 @@ let apply_discard discard ds pred =
             ds.Dataset.runs;
       }
 
-let run ?(discard = Discard_all_true) ?(confidence = 0.95) ?(max_selections = 40)
-    ?candidates (ds : Dataset.t) =
-  let initial_counts = Counts.compute ds in
+type run_set = {
+  counts : int list -> Counts.t;
+  runs : unit -> int;
+  failures : unit -> int;
+  discard : discard -> int -> unit;
+}
+
+let dataset_runs ds =
+  let current = ref ds in
+  {
+    counts = (fun _ -> Counts.compute !current);
+    runs = (fun () -> Dataset.nruns !current);
+    failures = (fun () -> Dataset.num_failures !current);
+    discard = (fun discard pred -> current := apply_discard discard !current pred);
+  }
+
+let run_on ?(discard = Discard_all_true) ?(max_selections = 40) ?candidates ~initial rs =
   let candidates =
     match candidates with
     | Some c -> c
@@ -57,38 +71,36 @@ let run ?(discard = Discard_all_true) ?(confidence = 0.95) ?(max_selections = 40
         | Discard_all_true ->
             (* §5: under proposal (1), at most one of P and ¬P can ever have
                positive predictive power, so early pruning is safe. *)
-            Prune.retained ~confidence initial_counts
+            Prune.retained initial
         | Discard_failing_true | Relabel_failing ->
             (* §5: under proposals (2) and (3), a predicate with a negative
                Increase may be a strong predictor temporarily overshadowed by
                an anti-correlated predictor of a different bug, so keep every
                predicate that was ever true in a failing run. *)
             let acc = ref [] in
-            for pred = initial_counts.Counts.npreds - 1 downto 0 do
-              if initial_counts.Counts.f.(pred) > 0 then acc := pred :: !acc
+            for pred = initial.Counts.npreds - 1 downto 0 do
+              if initial.Counts.f.(pred) > 0 then acc := pred :: !acc
             done;
             !acc)
   in
   let initial_scores = Hashtbl.create 64 in
   List.iter
-    (fun pred ->
-      Hashtbl.replace initial_scores pred (Scores.score ~confidence initial_counts ~pred))
+    (fun pred -> Hashtbl.replace initial_scores pred (Scores.score initial ~pred))
     candidates;
-  let rec loop acc current candidates rank =
-    let nfail = Dataset.num_failures current in
-    if nfail = 0 || candidates = [] || rank > max_selections then
-      (List.rev acc, current, candidates)
+  let rec loop acc candidates rank =
+    let nfail = rs.failures () in
+    if nfail = 0 || candidates = [] || rank > max_selections then (List.rev acc, candidates)
     else begin
-      let counts = Counts.compute current in
+      let counts = rs.counts candidates in
       (* Rank by Importance among predicates whose Increase is confidently
          positive on the *current* run set — under proposals (2)/(3) this is
          where a previously-overshadowed predicate can (re)enter. *)
       let best =
         List.fold_left
           (fun best pred ->
-            if not (Prune.keep ~confidence counts ~pred) then best
+            if not (Prune.keep counts ~pred) then best
             else begin
-              let sc = Scores.score ~confidence counts ~pred in
+              let sc = Scores.score counts ~pred in
               match best with
               | None -> Some sc
               | Some b -> if Scores.compare_importance_desc sc b < 0 then Some sc else Some b
@@ -96,32 +108,36 @@ let run ?(discard = Discard_all_true) ?(confidence = 0.95) ?(max_selections = 40
           None candidates
       in
       match best with
-      | None -> (List.rev acc, current, candidates)
-      | Some sc when sc.Scores.importance <= 0. -> (List.rev acc, current, candidates)
+      | None -> (List.rev acc, candidates)
+      | Some sc when sc.Scores.importance <= 0. -> (List.rev acc, candidates)
       | Some sc ->
           let pred = sc.Scores.pred in
-          let next = apply_discard discard current pred in
+          let runs_before = rs.runs () in
+          rs.discard discard pred;
           let selection =
             {
               rank;
               pred;
               initial = Hashtbl.find initial_scores pred;
               effective = sc;
-              runs_before = Dataset.nruns current;
+              runs_before;
               failures_before = nfail;
-              runs_discarded = Dataset.nruns current - Dataset.nruns next;
+              runs_discarded = runs_before - rs.runs ();
             }
           in
           let candidates = List.filter (fun p -> p <> pred) candidates in
-          loop (selection :: acc) next candidates (rank + 1)
+          loop (selection :: acc) candidates (rank + 1)
     end
   in
-  let selections, final, candidates_left = loop [] ds candidates 1 in
+  let selections, candidates_left = loop [] candidates 1 in
   {
     selections;
-    runs_remaining = Dataset.nruns final;
-    failures_remaining = Dataset.num_failures final;
+    runs_remaining = rs.runs ();
+    failures_remaining = rs.failures ();
     candidates_remaining = List.length candidates_left;
   }
+
+let run ?discard ?max_selections ?candidates ds =
+  run_on ?discard ?max_selections ?candidates ~initial:(Counts.compute ds) (dataset_runs ds)
 
 let selected_preds result = List.map (fun s -> s.pred) result.selections

@@ -39,23 +39,60 @@ type result = {
   candidates_remaining : int;
 }
 
+(** {1 Run sets}
+
+    The loop reads the current runs only through a {!run_set}, so one loop
+    serves every representation of them: {!dataset_runs} filters or
+    relabels a {!Sbi_runtime.Dataset.t} (the executable specification),
+    and [Sbi_index.Triage] diffs per-view bitmaps of an index snapshot. *)
+
+type run_set = {
+  counts : int list -> Counts.t;
+      (** [counts cands]: §3.1 counts over the current runs with their
+          current outcomes, exact at the predicates in [cands] and at
+          their sites.  Every other predicate's cells are unspecified;
+          [num_f]/[num_s] cover every current run. *)
+  runs : unit -> int;  (** current run count *)
+  failures : unit -> int;  (** current failing-run count *)
+  discard : discard -> int -> unit;
+      (** [discard proposal pred] applies one §5 step for [pred] in place. *)
+}
+
+val dataset_runs : Sbi_runtime.Dataset.t -> run_set
+(** The dataset's runs.  [counts] ignores its argument and recomputes
+    {!Counts.compute} (exact everywhere); [discard] filters or relabels a
+    copy of the current dataset. *)
+
+val run_on :
+  ?discard:discard ->
+  ?max_selections:int ->
+  ?candidates:int list ->
+  initial:Counts.t ->
+  run_set ->
+  result
+(** [run_on ~initial rs] iterates selection over a candidate set and
+    discards covered runs after each pick.  [initial] must be the exact
+    counts of [rs]'s runs as given; it seeds the candidate set and the
+    selections' [initial] scores.  Unless [candidates] is given, the
+    default candidate set follows §5: under {!Discard_all_true} it is the
+    Increase-CI pruning of [initial] (safe, since at most one of P and ¬P
+    can ever become predictive); under the other proposals it is every
+    predicate true in at least one failing run, because predicates
+    temporarily overshadowed by anti-correlated predictors may become
+    positive after a selection.  Each round counts only the remaining
+    candidates, and only those whose Increase is confidently positive
+    {e on the current run set} are ranked.  Iteration stops when the
+    failing-run set is empty, no candidate passes the test, or
+    [max_selections] (default 40) is reached.  [rs] is left with every
+    selection's discard applied. *)
+
 val run :
   ?discard:discard ->
-  ?confidence:float ->
   ?max_selections:int ->
   ?candidates:int list ->
   Sbi_runtime.Dataset.t ->
   result
-(** [run ds] iterates selection over a candidate set and discards covered
-    runs after each pick.  Unless [candidates] is given, the default
-    candidate set follows §5: under {!Discard_all_true} it is the
-    Increase-CI pruning of the full dataset (safe, since at most one of P
-    and ¬P can ever become predictive); under the other proposals it is
-    every predicate true in at least one failing run, because predicates
-    temporarily overshadowed by anti-correlated predictors may become
-    positive after a selection.  At each step, only predicates whose
-    Increase is confidently positive {e on the current run set} are ranked.
-    Iteration stops when the failing-run set is empty, no candidate passes
-    the test, or [max_selections] (default 40) is reached. *)
+(** [run ds] is {!run_on} over [dataset_runs ds] from
+    [Counts.compute ds]. *)
 
 val selected_preds : result -> int list

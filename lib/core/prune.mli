@@ -8,10 +8,10 @@
     predicates: program invariants, unreached predicates, and predicates
     merely control-dependent on true causes all score zero. *)
 
-val keep : ?confidence:float -> Counts.t -> pred:int -> bool
+val keep : Counts.t -> pred:int -> bool
 
-val retained : ?confidence:float -> Counts.t -> int list
+val retained : Counts.t -> int list
 (** Predicate ids surviving the test, ascending. *)
 
-val retained_scores : ?confidence:float -> Counts.t -> Scores.t array
+val retained_scores : Counts.t -> Scores.t array
 (** Scores of the surviving predicates, in ascending predicate order. *)

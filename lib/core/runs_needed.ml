@@ -5,14 +5,14 @@ let default_grid =
   let large = List.init 24 (fun i -> (i + 2) * 1000) in
   small @ large
 
-let importance_at ?confidence ds ~pred ~n =
+let importance_at ds ~pred ~n =
   let counts = Counts.compute (Dataset.sub ds n) in
-  (Scores.score ?confidence counts ~pred).Scores.importance
+  (Scores.score counts ~pred).Scores.importance
 
-let curve ?confidence ?(grid = default_grid) ds ~pred =
+let curve ?(grid = default_grid) ds ~pred =
   let total = Dataset.nruns ds in
   let grid = List.filter (fun n -> n < total) (List.sort_uniq Int.compare grid) @ [ total ] in
-  List.map (fun n -> (n, importance_at ?confidence ds ~pred ~n)) grid
+  List.map (fun n -> (n, importance_at ds ~pred ~n)) grid
 
 type answer = {
   pred : int;
@@ -25,14 +25,14 @@ let f_at ds ~pred ~n =
   let counts = Counts.compute (Dataset.sub ds n) in
   counts.Counts.f.(pred)
 
-let min_runs ?confidence ?(threshold = 0.2) ?(grid = default_grid) ds ~pred =
+let min_runs ?(threshold = 0.2) ?(grid = default_grid) ds ~pred =
   let total = Dataset.nruns ds in
-  let full = importance_at ?confidence ds ~pred ~n:total in
+  let full = importance_at ds ~pred ~n:total in
   let grid = List.filter (fun n -> n < total) (List.sort_uniq Int.compare grid) @ [ total ] in
   let rec go = function
     | [] -> None
     | n :: rest ->
-        let imp = importance_at ?confidence ds ~pred ~n in
+        let imp = importance_at ds ~pred ~n in
         if full -. imp < threshold && imp > 0. then
           Some { pred; min_runs = n; f_at_min = f_at ds ~pred ~n; full_importance = full }
         else go rest

@@ -11,7 +11,7 @@
 val default_grid : int list
 (** The paper's grid: 100, 200, ..., 1000, 2000, ..., 25000. *)
 
-val importance_at : ?confidence:float -> Sbi_runtime.Dataset.t -> pred:int -> n:int -> float
+val importance_at : Sbi_runtime.Dataset.t -> pred:int -> n:int -> float
 (** Importance of [pred] computed over the first [n] runs. *)
 
 type answer = {
@@ -22,7 +22,6 @@ type answer = {
 }
 
 val curve :
-  ?confidence:float ->
   ?grid:int list ->
   Sbi_runtime.Dataset.t ->
   pred:int ->
@@ -32,7 +31,6 @@ val curve :
     used by the convergence-curve chart. *)
 
 val min_runs :
-  ?confidence:float ->
   ?threshold:float ->
   ?grid:int list ->
   Sbi_runtime.Dataset.t ->

@@ -29,7 +29,7 @@ let sensitivity_stderr ~f ~num_f =
     sqrt var_f /. (ff *. log nf)
   end
 
-let score ?(confidence = 0.95) (c : Counts.t) ~pred =
+let score (c : Counts.t) ~pred =
   let f = c.Counts.f.(pred) in
   let s = c.Counts.s.(pred) in
   let f_obs = c.Counts.f_obs.(pred) in
@@ -37,12 +37,12 @@ let score ?(confidence = 0.95) (c : Counts.t) ~pred =
   let failure = ratio f (f + s) in
   let context = ratio f_obs (f_obs + s_obs) in
   let increase = if f + s = 0 || f_obs + s_obs = 0 then 0. else failure -. context in
-  let increase_ci = Stats.increase_ci ~confidence ~f ~s ~f_obs ~s_obs () in
+  let increase_ci = Stats.increase_ci ~f ~s ~f_obs ~s_obs () in
   let z = Stats.two_proportion_z ~f ~s ~f_obs ~s_obs in
   let sensitivity = Stats.log_ratio f c.Counts.num_f in
   let importance = Stats.harmonic_mean2 increase sensitivity in
   let importance_ci =
-    Stats.importance_ci ~confidence ~increase
+    Stats.importance_ci ~increase
       ~increase_stderr:(Stats.increase_stderr ~f ~s ~f_obs ~s_obs)
       ~sensitivity
       ~sensitivity_stderr:(sensitivity_stderr ~f ~num_f:c.Counts.num_f)
@@ -64,7 +64,7 @@ let score ?(confidence = 0.95) (c : Counts.t) ~pred =
     importance_ci;
   }
 
-let score_all ?confidence c = Array.init c.Counts.npreds (fun pred -> score ?confidence c ~pred)
+let score_all c = Array.init c.Counts.npreds (fun pred -> score c ~pred)
 
 let compare_importance_desc a b =
   match Float.compare b.importance a.importance with

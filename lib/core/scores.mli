@@ -9,7 +9,7 @@
     - [sensitivity = log F(P) / log NumF] — the paper's logarithmic
       transformation of raw failure counts.
     - [Importance(P)] — harmonic mean of Increase and sensitivity, with a
-      delta-method confidence interval.
+      95% delta-method confidence interval.
 
     The §3.2 statistical view is available as [z]: the two-proportion
     likelihood-ratio test statistic for H1 : p_f(P) > p_s(P). *)
@@ -30,12 +30,12 @@ type t = {
   importance_ci : Sbi_util.Stats.interval;
 }
 
-val score : ?confidence:float -> Counts.t -> pred:int -> t
+val score : Counts.t -> pred:int -> t
 (** Scores for one predicate.  Quantities with empty denominators are 0
     (and the importance of such predicates is 0, per the paper's
     convention for undefined harmonic means). *)
 
-val score_all : ?confidence:float -> Counts.t -> t array
+val score_all : Counts.t -> t array
 (** Scores for every predicate, indexed by predicate id. *)
 
 val compare_importance_desc : t -> t -> int

@@ -11,10 +11,7 @@ type row = {
 let compare_discards (bundle : Harness.bundle) =
   List.map
     (fun discard ->
-      let result =
-        Eliminate.run ~discard ~confidence:bundle.Harness.config.Harness.confidence
-          bundle.Harness.dataset
-      in
+      let result = Eliminate.run ~discard bundle.Harness.dataset in
       let selections = result.Eliminate.selections in
       let bugs =
         List.sort_uniq compare

@@ -10,7 +10,6 @@ type config = {
   seed : int;
   nruns : int option;
   sampling : sampling;
-  confidence : float;
   engine : Collect.engine;
 }
 
@@ -22,7 +21,6 @@ let default_config =
     seed = 42;
     nruns = None;
     sampling = Adaptive 1000;
-    confidence = 0.95;
     engine = Collect.Tree_walk;
   }
 
@@ -31,7 +29,6 @@ let quick_config =
     seed = 42;
     nruns = Some 600;
     sampling = Adaptive 150;
-    confidence = 0.95;
     engine = Collect.Tree_walk;
   }
 
@@ -88,8 +85,7 @@ let collect_study ?(config = default_config) (study : Sbi_corpus.Study.t) =
   let dataset = Collect.collect ~seed:config.seed spec ~nruns:(study_runs config study) in
   { study; transform; plan; dataset; config }
 
-let analyze bundle =
-  Sbi_core.Analysis.analyze ~confidence:bundle.config.confidence bundle.dataset
+let analyze bundle = Sbi_core.Analysis.analyze bundle.dataset
 
 let cooccurrence bundle ~pred =
   let counts = Hashtbl.create 8 in

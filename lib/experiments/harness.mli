@@ -13,7 +13,6 @@ type config = {
   seed : int;
   nruns : int option;  (** [None] = the study's default *)
   sampling : sampling;
-  confidence : float;
   engine : Sbi_runtime.Collect.engine;
       (** execution engine for collection; [Tree_walk] (the default)
           runs the reference interpreter, and
@@ -23,7 +22,7 @@ type config = {
 
 val default_config : config
 (** seed 42, study-default run count, adaptive sampling with 1000 training
-    runs, 95% confidence, tree-walk engine. *)
+    runs, tree-walk engine. *)
 
 val quick_config : config
 (** A small configuration for tests and smoke runs: 600 runs, adaptive

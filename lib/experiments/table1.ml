@@ -2,7 +2,7 @@ open Sbi_core
 
 let render ?(top = 8) (bundle : Harness.bundle) =
   let counts = Counts.compute bundle.Harness.dataset in
-  let retained = Prune.retained_scores ~confidence:bundle.Harness.config.Harness.confidence counts in
+  let retained = Prune.retained_scores counts in
   let remaining = Array.length retained - top in
   let sub strategy label =
     let rows = Rank.top ~n:top strategy retained in

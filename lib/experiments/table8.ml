@@ -19,10 +19,7 @@ let render rows =
       List.iter
         (fun (bug, (sel : Eliminate.selection)) ->
           let pred = sel.Eliminate.pred in
-          match
-            Runs_needed.min_runs ~confidence:bundle.Harness.config.Harness.confidence
-              bundle.Harness.dataset ~pred
-          with
+          match Runs_needed.min_runs bundle.Harness.dataset ~pred with
           | Some ans ->
               Texttab.add_row tab
                 [

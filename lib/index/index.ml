@@ -363,18 +363,22 @@ let cache_stats t = Sbi_store.Lru.stats t.cache
 
 (* --- live tail --- *)
 
+(* Ids must be in range and strictly ascending, as {!Report.t} documents:
+   the tail aggregate counts a repeated id once per occurrence while the
+   tail's postings keep it once. *)
+let validate_ids what bound ids =
+  Array.iteri
+    (fun i id ->
+      if id < 0 || id >= bound then
+        invalid_arg (Printf.sprintf "Index.append: %s %d out of range" what id);
+      if i > 0 && id <= ids.(i - 1) then
+        invalid_arg (Printf.sprintf "Index.append: %s %d does not follow %d" what id ids.(i - 1)))
+    ids
+
 let validate_report meta (r : Report.t) =
   if r.Report.run_id < 0 then invalid_arg "Index.append: negative run id";
-  Array.iter
-    (fun site ->
-      if site < 0 || site >= meta.Dataset.nsites then
-        invalid_arg (Printf.sprintf "Index.append: site %d out of range" site))
-    r.Report.observed_sites;
-  Array.iter
-    (fun pred ->
-      if pred < 0 || pred >= meta.Dataset.npreds then
-        invalid_arg (Printf.sprintf "Index.append: predicate %d out of range" pred))
-    r.Report.true_preds
+  validate_ids "site" meta.Dataset.nsites r.Report.observed_sites;
+  validate_ids "predicate" meta.Dataset.npreds r.Report.true_preds
 
 let validate t r = validate_report t.meta r
 

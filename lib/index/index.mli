@@ -91,12 +91,13 @@ val cache_stats : t -> Sbi_store.Lru.stats
 
 val validate : t -> Sbi_runtime.Report.t -> unit
 (** @raise Invalid_argument when the report refers to sites/predicates
-    outside the tables.  Lets callers reject a report {e before} any
+    outside the tables, or its [observed_sites]/[true_preds] are not
+    strictly ascending.  Lets callers reject a report {e before} any
     state (durable log, live tail) is touched. *)
 
 val append : t -> Sbi_runtime.Report.t -> unit
 (** Fold one live report into the in-memory tail.  @raise Invalid_argument
-    when the report refers to sites/predicates outside the tables. *)
+    as {!validate}, before anything changes. *)
 
 val tail_count : t -> int
 

@@ -7,11 +7,12 @@ module Rbitmap = Sbi_store.Rbitmap
 
    Every read below runs against an epoch-stamped {!Snapshot}: the merged
    aggregate is computed once per epoch (not once per query), and the
-   run-subset computations (affinity, iterative elimination) are word-level
-   popcount kernels over per-view alive/failing masks instead of per-bit
-   posting walks.  The integers produced are exactly those of
-   [Counts.compute] on the corresponding materialized corpus, so scores and
-   rankings stay bit-identical to [Sbi_core.Analysis]. *)
+   run-subset computations (affinity, iterative elimination) run
+   [Sbi_core]'s own loop over a bitmap run set: word-level popcount
+   kernels over per-view alive/failing masks instead of per-bit posting
+   walks.  The integers produced are exactly those of [Counts.compute] on
+   the corresponding materialized corpus, so scores and rankings stay
+   bit-identical to [Sbi_core.Analysis]. *)
 
 type view_state = { view : Snapshot.view; alive : Bitset.t; failing : Bitset.t }
 
@@ -108,12 +109,23 @@ let apply_discard discard states pred =
       | Eliminate.Relabel_failing -> Rbitmap.diff_inter_inplace st.failing bits st.alive)
     states
 
+(* The snapshot's runs as one fresh {!Eliminate.run_set}: every run alive
+   with its ingested outcome. *)
+let run_set (snap : Snapshot.t) =
+  let states = fresh_states snap in
+  {
+    Eliminate.counts = (fun candidates -> counts_of_states snap.Snapshot.meta states ~candidates);
+    runs = (fun () -> alive_count states);
+    failures = (fun () -> failing_count states);
+    discard = (fun discard pred -> apply_discard discard states pred);
+  }
+
 module Snap = struct
   let counts = Snapshot.counts
 
-  let topk ?confidence ?(k = 10) snap =
+  let topk ?(k = 10) snap =
     Sbi_obs.Trace.with_span ~name:"triage.topk" ~args:(Printf.sprintf "k=%d" k) (fun () ->
-        let retained = Prune.retained_scores ?confidence (Snapshot.counts snap) in
+        let retained = Prune.retained_scores (Snapshot.counts snap) in
         Sbi_util.Topk.top ~k
           ~compare:(fun a b -> Scores.compare_importance_desc b a)
           retained)
@@ -125,136 +137,37 @@ module Snap = struct
      selected predicates and scores are bit-identical to {!topk}
      (property-tested): same candidates, and Ranking's comparator breaks
      ties exactly like [Scores.compare_importance_desc]. *)
-  let topk_f ?confidence ?(k = 10) ~formula snap =
+  let topk_f ?(k = 10) ~formula snap =
     Sbi_obs.Trace.with_span ~name:"triage.topk"
       ~args:(Printf.sprintf "k=%d formula=%s" k formula.Sbi_sbfl.Formula.name)
       (fun () ->
         let counts = Snapshot.counts snap in
-        let candidates = Prune.retained ?confidence counts in
+        let candidates = Prune.retained counts in
         Sbi_sbfl.Ranking.topk ~k ~candidates formula counts)
 
-  let pred_score ?confidence snap ~pred ~formula =
+  let pred_score snap ~pred ~formula =
     let meta = snap.Snapshot.meta in
     if pred < 0 || pred >= meta.Dataset.npreds then
       invalid_arg (Printf.sprintf "Triage.pred_score: predicate %d out of range" pred);
     let counts = Snapshot.counts snap in
-    (Sbi_sbfl.Ranking.score formula counts ~pred, Scores.score ?confidence counts ~pred)
+    (Sbi_sbfl.Ranking.score formula counts ~pred, Scores.score counts ~pred)
 
-  let pred_detail ?confidence snap ~pred =
+  let pred_detail snap ~pred =
     let meta = snap.Snapshot.meta in
     if pred < 0 || pred >= meta.Dataset.npreds then
       invalid_arg (Printf.sprintf "Triage.pred_detail: predicate %d out of range" pred);
-    Scores.score ?confidence (Snapshot.counts snap) ~pred
+    Scores.score (Snapshot.counts snap) ~pred
 
-  let affinity ?(confidence = 0.95) snap ~selected ~others =
+  let affinity snap ~selected ~others =
     Sbi_obs.Trace.with_span ~name:"triage.affinity" ~args:(Printf.sprintf "pred=%d" selected)
-    @@ fun () ->
-    let counts_before = Snapshot.counts snap in
-    let states_without =
-      Array.map
-        (fun (v : Snapshot.view) ->
-          let alive = Bitset.full v.Snapshot.v_nruns in
-          Rbitmap.diff_inplace alive (v.Snapshot.v_pred_bits selected);
-          { view = v; alive; failing = Bitset.copy (v.Snapshot.v_failing ()) })
-        snap.Snapshot.views
-    in
-    let counts_after = counts_of_states snap.Snapshot.meta states_without ~candidates:others in
-    let entries =
-      List.filter_map
-        (fun pred ->
-          if pred = selected then None
-          else begin
-            let before = (Scores.score ~confidence counts_before ~pred).Scores.importance in
-            let after = (Scores.score ~confidence counts_after ~pred).Scores.importance in
-            Some
-              {
-                Affinity.pred;
-                importance_before = before;
-                importance_after = after;
-                drop = before -. after;
-              }
-          end)
-        others
-    in
-    List.sort
-      (fun (a : Affinity.entry) (b : Affinity.entry) ->
-        match Float.compare b.Affinity.drop a.Affinity.drop with
-        | 0 -> Int.compare a.Affinity.pred b.Affinity.pred
-        | n -> n)
-      entries
+      (fun () -> Affinity.of_runs ~before:(Snapshot.counts snap) (run_set snap) ~selected ~others)
 
-  let eliminate ?(discard = Eliminate.Discard_all_true) ?(confidence = 0.95)
-      ?(max_selections = 40) ?candidates snap =
+  let eliminate ?discard ?(max_selections = 40) ?candidates snap =
     Sbi_obs.Trace.with_span ~name:"triage.eliminate"
       ~args:(Printf.sprintf "max=%d" max_selections)
-    @@ fun () ->
-    let meta = snap.Snapshot.meta in
-    let states = fresh_states snap in
-    let initial_counts = Snapshot.counts snap in
-    let candidates =
-      match candidates with
-      | Some c -> c
-      | None -> (
-          match discard with
-          | Eliminate.Discard_all_true -> Prune.retained ~confidence initial_counts
-          | Eliminate.Discard_failing_true | Eliminate.Relabel_failing ->
-              let acc = ref [] in
-              for pred = initial_counts.Counts.npreds - 1 downto 0 do
-                if initial_counts.Counts.f.(pred) > 0 then acc := pred :: !acc
-              done;
-              !acc)
-    in
-    let initial_scores = Hashtbl.create 64 in
-    List.iter
-      (fun pred ->
-        Hashtbl.replace initial_scores pred (Scores.score ~confidence initial_counts ~pred))
-      candidates;
-    let rec loop acc candidates rank =
-      let nfail = failing_count states in
-      if nfail = 0 || candidates = [] || rank > max_selections then (List.rev acc, candidates)
-      else begin
-        let cts = counts_of_states meta states ~candidates in
-        let best =
-          List.fold_left
-            (fun best pred ->
-              if not (Prune.keep ~confidence cts ~pred) then best
-              else begin
-                let sc = Scores.score ~confidence cts ~pred in
-                match best with
-                | None -> Some sc
-                | Some b -> if Scores.compare_importance_desc sc b < 0 then Some sc else Some b
-              end)
-            None candidates
-        in
-        match best with
-        | None -> (List.rev acc, candidates)
-        | Some sc when sc.Scores.importance <= 0. -> (List.rev acc, candidates)
-        | Some sc ->
-            let pred = sc.Scores.pred in
-            let runs_before = alive_count states in
-            apply_discard discard states pred;
-            let selection =
-              {
-                Eliminate.rank;
-                pred;
-                initial = Hashtbl.find initial_scores pred;
-                effective = sc;
-                runs_before;
-                failures_before = nfail;
-                runs_discarded = runs_before - alive_count states;
-              }
-            in
-            let candidates = List.filter (fun p -> p <> pred) candidates in
-            loop (selection :: acc) candidates (rank + 1)
-      end
-    in
-    let selections, candidates_left = loop [] candidates 1 in
-    {
-      Eliminate.selections;
-      runs_remaining = alive_count states;
-      failures_remaining = failing_count states;
-      candidates_remaining = List.length candidates_left;
-    }
+      (fun () ->
+        Eliminate.run_on ?discard ~max_selections ?candidates ~initial:(Snapshot.counts snap)
+          (run_set snap))
 
   let cooccurrence snap ~a ~b =
     let npreds = snap.Snapshot.meta.Dataset.npreds in
@@ -271,18 +184,14 @@ end
 (* --- index-level wrappers (snapshot fetched/cached on the index) --- *)
 
 let counts idx = Snapshot.counts (Index.snapshot idx)
-let topk ?confidence ?k idx = Snap.topk ?confidence ?k (Index.snapshot idx)
-let topk_f ?confidence ?k ~formula idx = Snap.topk_f ?confidence ?k ~formula (Index.snapshot idx)
-let pred_detail ?confidence idx ~pred = Snap.pred_detail ?confidence (Index.snapshot idx) ~pred
+let topk ?k idx = Snap.topk ?k (Index.snapshot idx)
+let topk_f ?k ~formula idx = Snap.topk_f ?k ~formula (Index.snapshot idx)
+let pred_detail idx ~pred = Snap.pred_detail (Index.snapshot idx) ~pred
+let pred_score idx ~pred ~formula = Snap.pred_score (Index.snapshot idx) ~pred ~formula
+let affinity idx ~selected ~others = Snap.affinity (Index.snapshot idx) ~selected ~others
 
-let pred_score ?confidence idx ~pred ~formula =
-  Snap.pred_score ?confidence (Index.snapshot idx) ~pred ~formula
-
-let affinity ?confidence idx ~selected ~others =
-  Snap.affinity ?confidence (Index.snapshot idx) ~selected ~others
-
-let eliminate ?discard ?confidence ?max_selections ?candidates idx =
-  Snap.eliminate ?discard ?confidence ?max_selections ?candidates (Index.snapshot idx)
+let eliminate ?discard ?max_selections ?candidates idx =
+  Snap.eliminate ?discard ?max_selections ?candidates (Index.snapshot idx)
 
 let cooccurrence idx ~a ~b = Snap.cooccurrence (Index.snapshot idx) ~a ~b
 
@@ -294,20 +203,9 @@ type analysis = {
   elimination : Eliminate.result;
 }
 
-let analyze ?discard ?(confidence = 0.95) ?max_selections (idx : Index.t) =
+let analyze ?discard ?max_selections (idx : Index.t) =
   let snap = Index.snapshot idx in
   let cts = Snapshot.counts snap in
-  let retained = Prune.retained ~confidence cts in
-  let elimination = Snap.eliminate ?discard ~confidence ?max_selections ~candidates:retained snap in
+  let retained = Prune.retained cts in
+  let elimination = Snap.eliminate ?discard ?max_selections ~candidates:retained snap in
   { counts = cts; retained; elimination }
-
-let summary (idx : Index.t) (a : analysis) =
-  {
-    Analysis.runs = a.counts.Counts.num_f + a.counts.Counts.num_s;
-    successful = a.counts.Counts.num_s;
-    failing = a.counts.Counts.num_f;
-    sites = idx.Index.meta.Dataset.nsites;
-    initial_preds = idx.Index.meta.Dataset.npreds;
-    retained_preds = List.length a.retained;
-    selected_preds = List.length a.elimination.Eliminate.selections;
-  }

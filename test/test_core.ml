@@ -427,6 +427,109 @@ let test_analysis_summary () =
   Alcotest.(check int) "retained = 3 (one per bug)" 3 s.Analysis.retained_preds;
   Alcotest.(check int) "selected = 3" 3 s.Analysis.selected_preds
 
+(* --- the run-set contract --- *)
+
+(* A random dataset whose failures follow one to three "bug" predicates,
+   so elimination has something to select. *)
+let random_dataset st =
+  let nsites = 3 + Random.State.int st 6 in
+  let npreds = 2 * nsites in
+  let pred_site = Array.init npreds (fun p -> p / 2) in
+  let bugs = List.init (1 + Random.State.int st 3) (fun _ -> Random.State.int st npreds) in
+  let chance p = Random.State.float st 1. < p in
+  let runs =
+    Array.init (20 + Random.State.int st 150) (fun id ->
+        let sites = List.filter (fun _ -> chance 0.7) (List.init nsites Fun.id) in
+        let preds =
+          List.concat_map (fun s -> List.filter (fun _ -> chance 0.5) [ 2 * s; (2 * s) + 1 ]) sites
+        in
+        let fails = List.exists (fun p -> List.mem p bugs && chance 0.9) preds || chance 0.05 in
+        mk_report
+          ~outcome:(if fails then Report.Failure else Report.Success)
+          ~sites:(Array.of_list sites) ~preds:(Array.of_list preds) id)
+  in
+  Dataset.of_tables ~nsites ~npreds ~pred_site runs
+
+(* The dataset's run set, except that [counts cands] gives every predicate
+   outside [cands] a cell that passes [Prune.keep] with Importance 1 once
+   two failing runs remain — above any real predicate, whose Context is
+   positive.  Whatever reads a cell it did not ask for picks a wrong
+   predicate. *)
+let poisoned ds =
+  let rs = Eliminate.dataset_runs ds in
+  {
+    rs with
+    Eliminate.counts =
+      (fun cands ->
+        let c = rs.Eliminate.counts cands in
+        for p = 0 to c.Counts.npreds - 1 do
+          if not (List.mem p cands) then begin
+            c.Counts.f.(p) <- c.Counts.num_f;
+            c.Counts.s.(p) <- 0;
+            c.Counts.f_obs.(p) <- 0;
+            c.Counts.s_obs.(p) <- 1
+          end
+        done;
+        c);
+  }
+
+let fbits = Int64.bits_of_float
+
+let score_bits (sc : Scores.t) =
+  let ci (i : Stats.interval) = [ fbits i.Stats.lo; fbits i.Stats.hi ] in
+  ( [ sc.Scores.pred; sc.Scores.f; sc.Scores.s; sc.Scores.f_obs; sc.Scores.s_obs ],
+    List.map fbits
+      [ sc.Scores.failure; sc.Scores.context; sc.Scores.increase; sc.Scores.z;
+        sc.Scores.sensitivity; sc.Scores.importance ]
+    @ ci sc.Scores.increase_ci @ ci sc.Scores.importance_ci )
+
+let elimination_bits (r : Eliminate.result) =
+  ( List.map
+      (fun (s : Eliminate.selection) ->
+        ( [ s.Eliminate.rank; s.Eliminate.pred; s.Eliminate.runs_before;
+            s.Eliminate.failures_before; s.Eliminate.runs_discarded ],
+          score_bits s.Eliminate.initial,
+          score_bits s.Eliminate.effective ))
+      r.Eliminate.selections,
+    [ r.Eliminate.runs_remaining; r.Eliminate.failures_remaining;
+      r.Eliminate.candidates_remaining ] )
+
+let affinity_bits entries =
+  List.map
+    (fun (e : Affinity.entry) ->
+      ( e.Affinity.pred,
+        List.map fbits
+          [ e.Affinity.importance_before; e.Affinity.importance_after; e.Affinity.drop ] ))
+    entries
+
+(* [counts cands] need only be exact at [cands]: elimination and affinity
+   over the poisoned run set equal their dataset answers, bit for bit,
+   under all three discard proposals and for random candidate sets. *)
+let qcheck_candidates_only_contract =
+  QCheck2.Test.make ~name:"run set: elimination and affinity read only the candidates' cells"
+    ~count:40
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 0x5e7 |] in
+      let ds = random_dataset st in
+      let subset () =
+        List.filter (fun _ -> Random.State.bool st) (List.init ds.Dataset.npreds Fun.id)
+      in
+      let same_elim a b = compare a b = 0 && elimination_bits a = elimination_bits b in
+      let same_aff a b = compare a b = 0 && affinity_bits a = affinity_bits b in
+      List.for_all
+        (fun discard ->
+          let candidates = if Random.State.int st 4 = 0 then None else Some (subset ()) in
+          same_elim
+            (Eliminate.run_on ~discard ?candidates ~initial:(Counts.compute ds) (poisoned ds))
+            (Eliminate.run ~discard ?candidates ds))
+        [ Eliminate.Discard_all_true; Eliminate.Discard_failing_true; Eliminate.Relabel_failing ]
+      &&
+      let selected = Random.State.int st ds.Dataset.npreds and others = subset () in
+      same_aff
+        (Affinity.of_runs ~before:(Counts.compute ds) (poisoned ds) ~selected ~others)
+        (Affinity.list ds ~selected ~others))
+
 let suite =
   [
     Alcotest.test_case "counts" `Quick test_counts;
@@ -454,4 +557,5 @@ let suite =
     Alcotest.test_case "importance curve" `Quick test_curve;
     Alcotest.test_case "importance at prefix" `Quick test_importance_at_prefix;
     Alcotest.test_case "analysis summary" `Quick test_analysis_summary;
+    QCheck_alcotest.to_alcotest qcheck_candidates_only_contract;
   ]

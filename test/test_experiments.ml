@@ -15,7 +15,6 @@ let tiny_config =
     Harness.seed = 42;
     nruns = Some 400;
     sampling = Harness.Adaptive 100;
-    confidence = 0.95;
   }
 
 (* The harness defaults to the tree-walk engine; the whole experiment
@@ -24,7 +23,6 @@ let tiny_config =
 let test_harness_engine_equivalence () =
   let config engine =
     {
-      Harness.default_config with
       Harness.seed = 11;
       nruns = Some 120;
       sampling = Harness.Adaptive 40;

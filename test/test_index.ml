@@ -902,6 +902,45 @@ let qcheck_compaction_bit_identity =
           check_equivalent ~msg:"post-compact" (Index.open_ ~dir:idx_dir) ds;
           (Index.fsck ~dir:idx_dir).Index.fsck_corrupt = 0))
 
+(* [Report.t] ids are sorted and distinct.  A report that breaks this is
+   refused before it touches the live tail: the tail aggregate would count
+   a repeated predicate once per occurrence while its postings keep it
+   once, so F(P) could exceed NumF. *)
+let test_append_rejects_unsorted_ids () =
+  with_temp_dir (fun tmp ->
+      let log = Filename.concat tmp "log" in
+      let idx_dir = Filename.concat tmp "idx" in
+      let base =
+        Array.init 6 (fun i ->
+            let outcome = if i < 3 then Report.Failure else Report.Success in
+            mk_report ~outcome ~sites:[| 0; 1 |] ~preds:[| 0; 2 |] i)
+      in
+      write_log ~dir:log base;
+      ignore (Index.build ~log ~dir:idx_dir ());
+      let idx = Index.open_ ~dir:idx_dir in
+      let counts = Triage.counts idx and epoch = Index.epoch idx in
+      List.iter
+        (fun (what, sites, preds) ->
+          let r = mk_report ~outcome:Report.Failure ~sites ~preds 6 in
+          (match Index.validate idx r with
+          | () -> Alcotest.failf "validate accepted %s" what
+          | exception Invalid_argument _ -> ());
+          (match Index.append idx r with
+          | () -> Alcotest.failf "append accepted %s" what
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check int) (what ^ ": epoch unchanged") epoch (Index.epoch idx);
+          Alcotest.(check bool) (what ^ ": counts unchanged") true
+            (counts_equal counts (Triage.counts idx)))
+        [
+          ("a repeated predicate", [| 0 |], [| 0; 0 |]);
+          ("descending predicates", [| 0; 1 |], [| 2; 0 |]);
+          ("a repeated site", [| 1; 1 |], [| 2 |]);
+          ("descending sites", [| 1; 0 |], [| 0; 2 |]);
+        ];
+      Alcotest.(check int) "nothing reached the tail" 0 (Index.tail_count idx);
+      Index.append idx (mk_report ~outcome:Report.Failure ~sites:[| 0; 1 |] ~preds:[| 0; 2 |] 6);
+      Alcotest.(check int) "a sorted report is accepted" 1 (Index.tail_count idx))
+
 let suite =
   [
     Alcotest.test_case "bitset" `Quick test_bitset;
@@ -935,4 +974,6 @@ let suite =
       test_tail_view_concurrent_first_use;
     Alcotest.test_case "cold analysis loads only retained postings" `Quick
       test_cold_analysis_posting_loads;
+    Alcotest.test_case "append rejects unsorted or repeated ids" `Quick
+      test_append_rejects_unsorted_ids;
   ]
