@@ -40,23 +40,10 @@ let parse_sampling s =
       | _ -> Error "uniform rate must be in (0,1]")
   | _ -> Error "sampling must be none | adaptive[:N] | uniform:RATE"
 
-let engine_t =
-  let doc =
-    "Execution engine for collection: 'tree-walk' (default: the reference \
-     interpreter) or 'bytecode' (compile once, run on the VM; both produce \
-     identical datasets)."
-  in
-  Arg.(value & opt string "tree-walk" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let parse_engine = function
-  | "bytecode" -> Ok Sbi_runtime.Collect.Bytecode
-  | "tree-walk" | "treewalk" -> Ok Sbi_runtime.Collect.Tree_walk
-  | s -> Error (Printf.sprintf "unknown engine %s (expected bytecode | tree-walk)" s)
-
-let config_of ~seed ~runs ~quick ~sampling ~engine =
-  match (parse_sampling sampling, parse_engine engine) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok sampling_mode, Ok engine ->
+let config_of ~seed ~runs ~quick ~sampling =
+  match parse_sampling sampling with
+  | Error e -> Error e
+  | Ok sampling_mode ->
       let base = if quick then Harness.quick_config else Harness.default_config in
       Ok
         {
@@ -64,7 +51,6 @@ let config_of ~seed ~runs ~quick ~sampling ~engine =
           nruns = (match runs with Some n -> Some n | None -> base.Harness.nruns);
           sampling = (if quick && sampling = "adaptive:1000" then base.Harness.sampling
                       else sampling_mode);
-          engine;
         }
 
 let study_conv =
@@ -139,8 +125,8 @@ let table_cmd =
     let doc = "Paper table number (1–9), or 0 for all tables." in
     Arg.(required & pos 0 (some int) None & info [] ~docv:"TABLE" ~doc)
   in
-  let run n seed runs quick sampling engine =
-    let config = or_fail (config_of ~seed ~runs ~quick ~sampling ~engine) in
+  let run n seed runs quick sampling =
+    let config = or_fail (config_of ~seed ~runs ~quick ~sampling) in
     if n = 0 then
       List.iter
         (fun i ->
@@ -150,17 +136,17 @@ let table_cmd =
     else print_endline (or_fail (render_table config n))
   in
   let info = Cmd.info "table" ~doc:"Regenerate one of the paper's tables (1-9; 0 = all)." in
-  Cmd.v info Term.(const run $ n_t $ seed_t $ runs_t $ quick_t $ sampling_t $ engine_t)
+  Cmd.v info Term.(const run $ n_t $ seed_t $ runs_t $ quick_t $ sampling_t)
 
 (* --- auxiliary experiments --- *)
 
 let simple_experiment name doc f =
-  let run seed runs quick sampling engine =
-    let config = or_fail (config_of ~seed ~runs ~quick ~sampling ~engine) in
+  let run seed runs quick sampling =
+    let config = or_fail (config_of ~seed ~runs ~quick ~sampling) in
     print_endline (f config)
   in
   let info = Cmd.info name ~doc in
-  Cmd.v info Term.(const run $ seed_t $ runs_t $ quick_t $ sampling_t $ engine_t)
+  Cmd.v info Term.(const run $ seed_t $ runs_t $ quick_t $ sampling_t)
 
 let stack_cmd =
   simple_experiment "stack-study"
@@ -187,15 +173,15 @@ let curves_cmd =
   let study_t =
     Arg.(required & pos 0 (some study_conv) None & info [] ~docv:"STUDY" ~doc:"Study name.")
   in
-  let run study seed runs quick sampling engine =
-    let config = or_fail (config_of ~seed ~runs ~quick ~sampling ~engine) in
+  let run study seed runs quick sampling =
+    let config = or_fail (config_of ~seed ~runs ~quick ~sampling) in
     print_endline (Curves.render (get_bundle config study))
   in
   let info =
     Cmd.info "curves"
       ~doc:"Plot Importance_N convergence curves for each bug's chosen predictor (§4.3)."
   in
-  Cmd.v info Term.(const run $ study_t $ seed_t $ runs_t $ quick_t $ sampling_t $ engine_t)
+  Cmd.v info Term.(const run $ study_t $ seed_t $ runs_t $ quick_t $ sampling_t)
 
 let report_cmd =
   let study_t =
@@ -205,8 +191,8 @@ let report_cmd =
     Arg.(required & opt (some string) None
            & info [ "o"; "output" ] ~docv:"FILE" ~doc:"HTML output path.")
   in
-  let run study out seed runs quick sampling engine =
-    let config = or_fail (config_of ~seed ~runs ~quick ~sampling ~engine) in
+  let run study out seed runs quick sampling =
+    let config = or_fail (config_of ~seed ~runs ~quick ~sampling) in
     let bundle = get_bundle config study in
     Html_report.write ~path:out bundle;
     Printf.printf "wrote %s\n" out
@@ -214,7 +200,7 @@ let report_cmd =
   let info =
     Cmd.info "report" ~doc:"Analyze a study and write a self-contained HTML report."
   in
-  Cmd.v info Term.(const run $ study_t $ out_t $ seed_t $ runs_t $ quick_t $ sampling_t $ engine_t)
+  Cmd.v info Term.(const run $ study_t $ out_t $ seed_t $ runs_t $ quick_t $ sampling_t)
 
 (* --- studies --- *)
 
@@ -283,8 +269,8 @@ let collect_cmd =
     Arg.(required & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Dataset output path.")
   in
-  let run study out seed runs quick sampling engine =
-    let config = or_fail (config_of ~seed ~runs ~quick ~sampling ~engine) in
+  let run study out seed runs quick sampling =
+    let config = or_fail (config_of ~seed ~runs ~quick ~sampling) in
     let bundle = Harness.collect_study ~config study in
     Sbi_runtime.Dataset.save out bundle.Harness.dataset;
     Printf.printf "wrote %s: %d runs (%d failing), %d sites, %d predicates\n" out
@@ -294,7 +280,7 @@ let collect_cmd =
       bundle.Harness.dataset.Sbi_runtime.Dataset.npreds
   in
   let info = Cmd.info "collect" ~doc:"Collect a feedback-report dataset and save it to disk." in
-  Cmd.v info Term.(const run $ study_t $ out_t $ seed_t $ runs_t $ quick_t $ sampling_t $ engine_t)
+  Cmd.v info Term.(const run $ study_t $ out_t $ seed_t $ runs_t $ quick_t $ sampling_t)
 
 (* --- ingestion pipeline --- *)
 
@@ -316,8 +302,8 @@ let ingest_cmd =
     Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
            ~doc:"Collection domains (= shards written); default: all cores.")
   in
-  let run study out domains seed runs quick sampling engine =
-    let config = or_fail (config_of ~seed ~runs ~quick ~sampling ~engine) in
+  let run study out domains seed runs quick sampling =
+    let config = or_fail (config_of ~seed ~runs ~quick ~sampling) in
     let _, _, spec = Harness.prepare ~config study in
     let nruns = Harness.study_runs config study in
     let domains =
@@ -342,7 +328,7 @@ let ingest_cmd =
             crash-tolerant binary shard log."
   in
   Cmd.v info
-    Term.(const run $ study_t $ out_t $ domains_t $ seed_t $ runs_t $ quick_t $ sampling_t $ engine_t)
+    Term.(const run $ study_t $ out_t $ domains_t $ seed_t $ runs_t $ quick_t $ sampling_t)
 
 let log_stats_cmd =
   let dir_t =
@@ -374,27 +360,6 @@ let log_stats_cmd =
       ~doc:"Scan a shard log and report per-shard record/byte/corruption statistics."
   in
   Cmd.v info Term.(const run $ dir_t)
-
-let disasm_cmd =
-  let study_t =
-    Arg.(required & pos 0 (some study_conv) None & info [] ~docv:"STUDY" ~doc:"Study name.")
-  in
-  let fn_t =
-    Arg.(value & opt (some string) None & info [ "fn" ] ~docv:"NAME"
-           ~doc:"Only this function (default: all).")
-  in
-  let run study fn =
-    let prog = Sbi_corpus.Study.checked study in
-    let compiled = Sbi_lang.Vm.compile prog in
-    Array.iter
-      (fun (f : Sbi_lang.Vm.func) ->
-        match fn with
-        | Some name when name <> f.Sbi_lang.Vm.name -> ()
-        | _ -> print_string (Sbi_lang.Vm.disassemble f))
-      compiled.Sbi_lang.Vm.funcs
-  in
-  let info = Cmd.info "disasm" ~doc:"Disassemble a corpus program's bytecode." in
-  Cmd.v info Term.(const run $ study_t $ fn_t)
 
 (* --- analysis rendering (shared by analyze / analyze-file) --- *)
 
@@ -605,8 +570,8 @@ let analyze_cmd =
     let doc = "Run-discard proposal: 1 (discard all covered runs), 2 (failing only), 3 (relabel)." in
     Arg.(value & opt int 1 & info [ "proposal" ] ~docv:"N" ~doc)
   in
-  let run study proposal json seed runs quick sampling engine =
-    let config = or_fail (config_of ~seed ~runs ~quick ~sampling ~engine) in
+  let run study proposal json seed runs quick sampling =
+    let config = or_fail (config_of ~seed ~runs ~quick ~sampling) in
     let discard = or_fail (discard_of_proposal proposal) in
     let bundle = get_bundle config study in
     let ds = bundle.Harness.dataset in
@@ -620,7 +585,7 @@ let analyze_cmd =
             machine-readable output)."
   in
   Cmd.v info
-    Term.(const run $ study_t $ discard_t $ json_t $ seed_t $ runs_t $ quick_t $ sampling_t $ engine_t)
+    Term.(const run $ study_t $ discard_t $ json_t $ seed_t $ runs_t $ quick_t $ sampling_t)
 
 (* --- predicate index + triage service --- *)
 
@@ -914,9 +879,9 @@ let serve_cmd =
   let acceptors_t =
     Arg.(value & opt int d.acceptors & info [ "acceptors" ] ~docv:"N"
            ~doc:"Event-loop domains for the connection front end (N >= 1): each runs a \
-                 poll(2) readiness loop over non-blocking connections.  On TCP with \
-                 N >= 2 each loop accepts on its own SO_REUSEPORT listener; otherwise \
-                 loop 0 accepts and hands connections to its peers round-robin.")
+                 poll(2) readiness loop over non-blocking connections.  Loop 0 accepts \
+                 on the one listener and hands connections round-robin to every loop, \
+                 itself included.")
   in
   let max_conns_t =
     Arg.(value & opt int d.max_conns & info [ "max-conns" ] ~docv:"N"
@@ -1322,8 +1287,8 @@ let inspect_cmd =
     Arg.(value & opt int 5 & info [ "affinity" ] ~docv:"K"
            ~doc:"Show the top K affinity entries for each selected predicate.")
   in
-  let run study top seed runs quick sampling engine =
-    let config = or_fail (config_of ~seed ~runs ~quick ~sampling ~engine) in
+  let run study top seed runs quick sampling =
+    let config = or_fail (config_of ~seed ~runs ~quick ~sampling) in
     let bundle = Harness.collect_study ~config study in
     let analysis = Harness.analyze bundle in
     let selections =
@@ -1354,7 +1319,7 @@ let inspect_cmd =
     Cmd.info "inspect"
       ~doc:"Analyze a study and browse each selected predictor's affinity list."
   in
-  Cmd.v info Term.(const run $ study_t $ top_t $ seed_t $ runs_t $ quick_t $ sampling_t $ engine_t)
+  Cmd.v info Term.(const run $ study_t $ top_t $ seed_t $ runs_t $ quick_t $ sampling_t)
 
 (* --- SBFL formula zoo --- *)
 
@@ -1596,8 +1561,8 @@ let eval_cmd =
     let doc = "Comma-separated formulas to evaluate (default: all registered)." in
     Arg.(value & opt (some string) None & info [ "formulas" ] ~docv:"LIST" ~doc)
   in
-  let run studies formulas json seed runs quick sampling engine =
-    let config = or_fail (config_of ~seed ~runs ~quick ~sampling ~engine) in
+  let run studies formulas json seed runs quick sampling =
+    let config = or_fail (config_of ~seed ~runs ~quick ~sampling) in
     let studies = match studies with [] -> Sbi_corpus.Corpus.all | l -> l in
     let formulas =
       match formulas with
@@ -1672,7 +1637,7 @@ let eval_cmd =
   in
   Cmd.v info
     Term.(const run $ studies_t $ formulas_arg_t $ json_t $ seed_t $ runs_t $ quick_t
-          $ sampling_t $ engine_t)
+          $ sampling_t)
 
 let main_cmd =
   let doc = "Scalable statistical bug isolation (PLDI 2005) — reproduction driver." in
@@ -1683,7 +1648,7 @@ let main_cmd =
       report_cmd; curves_cmd; studies_cmd; run_cmd; collect_cmd; ingest_cmd;
       log_stats_cmd; analyze_cmd; analyze_file_cmd; index_cmd; gen_cmd; compact_cmd;
       fsck_cmd;
-      fault_check_cmd; serve_cmd; query_cmd; load_cmd; trace_dump_cmd; disasm_cmd;
+      fault_check_cmd; serve_cmd; query_cmd; load_cmd; trace_dump_cmd;
       inspect_cmd;
       formulas_cmd; topk_cmd; eval_cmd;
     ]

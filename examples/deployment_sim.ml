@@ -68,14 +68,7 @@ let () =
           baseline := Some ms;
           Texttab.add_row tab [ name; Printf.sprintf "%.3f" ms; "1.00x"; "n/a" ]
       | Some sampling ->
-          let config =
-            {
-              Harness.default_config with
-              Harness.seed = 42;
-              nruns = Some nruns;
-              sampling;
-            }
-          in
+          let config = { Harness.seed = 42; nruns = Some nruns; sampling } in
           let bundle = ref None in
           let ms =
             time_per_run (fun () -> bundle := Some (Harness.collect_study ~config study)) nruns

@@ -13,13 +13,7 @@
 open Sbi_experiments
 open Sbi_core
 
-let config =
-  {
-    Harness.default_config with
-    Harness.seed = 7;
-    nruns = Some 1000;
-    sampling = Harness.Adaptive 150;
-  }
+let config = { Harness.seed = 7; nruns = Some 1000; sampling = Harness.Adaptive 150 }
 
 let () =
   let study = Sbi_corpus.Corpus.mossim in

@@ -10,27 +10,10 @@ type config = {
   seed : int;
   nruns : int option;
   sampling : sampling;
-  engine : Collect.engine;
 }
 
-(* Tree_walk is the default: the tree-walking interpreter is faster than
-   the bytecode VM both bare and instrumented, and the two are
-   differentially tested to collect identical datasets. *)
-let default_config =
-  {
-    seed = 42;
-    nruns = None;
-    sampling = Adaptive 1000;
-    engine = Collect.Tree_walk;
-  }
-
-let quick_config =
-  {
-    seed = 42;
-    nruns = Some 600;
-    sampling = Adaptive 150;
-    engine = Collect.Tree_walk;
-  }
+let default_config = { seed = 42; nruns = None; sampling = Adaptive 1000 }
+let quick_config = { seed = 42; nruns = Some 600; sampling = Adaptive 150 }
 
 type bundle = {
   study : Sbi_corpus.Study.t;
@@ -71,7 +54,7 @@ let prepare ?(config = default_config) (study : Sbi_corpus.Study.t) =
   let spec =
     Collect.make_spec
       ?oracle:(Sbi_corpus.Corpus.make_oracle study ~nondet_salt)
-      ~nondet_salt ~engine:config.engine ~transform ~plan
+      ~nondet_salt ~transform ~plan
       ~gen_input:(fun run -> study.Sbi_corpus.Study.gen_input ~seed:config.seed ~run)
       ()
   in

@@ -13,20 +13,15 @@ type config = {
   seed : int;
   nruns : int option;  (** [None] = the study's default *)
   sampling : sampling;
-  engine : Sbi_runtime.Collect.engine;
-      (** execution engine for collection; [Tree_walk] (the default)
-          runs the reference interpreter, and
-          {!Sbi_runtime.Collect.Bytecode} compiles once and runs the VM —
-          differentially tested to produce identical datasets *)
 }
 
 val default_config : config
 (** seed 42, study-default run count, adaptive sampling with 1000 training
-    runs, tree-walk engine. *)
+    runs. *)
 
 val quick_config : config
 (** A small configuration for tests and smoke runs: 600 runs, adaptive
-    sampling trained on 150 runs, tree-walk engine. *)
+    sampling trained on 150 runs. *)
 
 type bundle = {
   study : Sbi_corpus.Study.t;

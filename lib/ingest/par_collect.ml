@@ -14,16 +14,8 @@ let blocks ~nruns ~workers =
       let hi = lo + per + (if d < rem then 1 else 0) in
       (d, lo, hi))
 
-(* Lazy.force is not safe to race from several domains; compile the
-   bytecode (if that engine is selected) before spawning. *)
-let prepare_spec (spec : Collect.spec) =
-  match spec.Collect.engine with
-  | Collect.Bytecode -> ignore (Lazy.force spec.Collect.compiled)
-  | Collect.Tree_walk -> ()
-
 let spawn_blocks ?(seed = 0xc0ffee) ?(first_run = 0) ?domains spec ~nruns ~f =
   let workers = match domains with Some d when d > 0 -> d | _ -> default_domains () in
-  prepare_spec spec;
   blocks ~nruns ~workers
   |> List.map (fun (d, lo, hi) ->
          Domain.spawn (fun () ->

@@ -332,61 +332,6 @@ let compile prog =
     rprog = prog;
   }
 
-(* --- disassembler --- *)
-
-let instr_to_string = function
-  | IPushInt n -> Printf.sprintf "push.int %d" n
-  | IPushBool b -> Printf.sprintf "push.bool %b" b
-  | IPushStr s -> Printf.sprintf "push.str %S" s
-  | IPushNull -> "push.null"
-  | IPushUnit -> "push.unit"
-  | ILoadLocal i -> Printf.sprintf "load.local %d" i
-  | IStoreLocal i -> Printf.sprintf "store.local %d" i
-  | ILoadGlobal i -> Printf.sprintf "load.global %d" i
-  | IStoreGlobal i -> Printf.sprintf "store.global %d" i
-  | IPop -> "pop"
-  | IAddInt -> "add.int"
-  | IAddStr -> "add.str"
-  | ISub -> "sub"
-  | IMul -> "mul"
-  | IDiv -> "div"
-  | IMod -> "mod"
-  | INeg -> "neg"
-  | INot -> "not"
-  | IEqVal -> "eq"
-  | INeqVal -> "neq"
-  | ILt -> "lt"
-  | ILe -> "le"
-  | IGt -> "gt"
-  | IGe -> "ge"
-  | IJmp t -> Printf.sprintf "jmp %d" t
-  | IJmpIfNot t -> Printf.sprintf "jmp.ifnot %d" t
-  | IJmpIf t -> Printf.sprintf "jmp.if %d" t
-  | ICall (f, n) -> Printf.sprintf "call %d/%d" f n
-  | ICallBuiltin (b, n) -> Printf.sprintf "call.builtin %s/%d" (Rast.builtin_name b) n
-  | IRet -> "ret"
-  | INewArray ty -> Printf.sprintf "new.array %s" (Ast.ty_to_string ty)
-  | INewStruct s -> Printf.sprintf "new.struct %d" s
-  | ILoadIndex -> "load.index"
-  | IStoreIndex -> "store.index"
-  | ILoadField f -> Printf.sprintf "load.field %d" f
-  | IStoreField f -> Printf.sprintf "store.field %d" f
-  | ITickStmt -> "tick.stmt"
-  | ITickLoop -> "tick.loop"
-  | IObsBranch sid -> Printf.sprintf "obs.branch sid=%d" sid
-  | IObsCond eid -> Printf.sprintf "obs.cond eid=%d" eid
-  | IObsAssign { sid; has_old; _ } -> Printf.sprintf "obs.assign sid=%d old=%b" sid has_old
-  | IObsCallRet sid -> Printf.sprintf "obs.callret sid=%d" sid
-
-let disassemble fn =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "%s (%d slots):\n" fn.name fn.nslots);
-  Array.iteri
-    (fun i instr ->
-      Buffer.add_string buf (Printf.sprintf "  %4d  %s\n" i (instr_to_string instr)))
-    fn.code;
-  Buffer.contents buf
-
 (* --- virtual machine --- *)
 
 type vm = {

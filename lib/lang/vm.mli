@@ -1,12 +1,12 @@
 (** Bytecode compiler and virtual machine for MiniC.
 
-    A drop-in alternative execution engine to the tree-walking {!Interp}:
-    same configuration, same result type, same observation hooks, same
-    crash taxonomy, and — by construction and by differential test — the
-    same output, outcome, step count, and hook event stream for every
-    program.  Compiling once and reusing the bytecode across thousands of
-    monitored runs makes large collections (the paper's 32,000-run
-    populations) substantially cheaper.
+    A second implementation of the tree-walking {!Interp}, kept as its
+    differential-test oracle: same configuration, same result type, same
+    observation hooks, same crash taxonomy, and — by construction and by
+    differential test — the same output, outcome, step count, and hook
+    event stream for every program.  Collection runs only {!Interp};
+    [test/test_vm.ml] holds the two to the same behaviour, and perfbench's
+    [runtime.bare_run_us] probe times the VM bare.
 
     The machine is a conventional stack VM: one flat instruction array per
     function, explicit operand stack, locals in a frame array, calls by
@@ -78,10 +78,6 @@ type program = {
 
 val compile : Rast.rprog -> program
 (** Compile every function (and the global initializers). *)
-
-val disassemble : func -> string
-(** Human-readable listing, one instruction per line (for tests and
-    debugging). *)
 
 val run_compiled : program -> Interp.config -> Interp.result
 (** Execute with the same semantics as {!Interp.run}. *)

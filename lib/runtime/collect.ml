@@ -1,8 +1,6 @@
 open Sbi_instrument
 open Sbi_lang
 
-type engine = Tree_walk | Bytecode
-
 type spec = {
   transform : Transform.t;
   plan : Sampler.plan;
@@ -10,12 +8,11 @@ type spec = {
   oracle : (run_index:int -> args:string array -> Interp.result -> bool) option;
   fuel : int;
   nondet_salt : int;
-  engine : engine;
   compiled : Sbi_lang.Vm.program Lazy.t;
 }
 
-let make_spec ?oracle ?(fuel = 10_000_000) ?(nondet_salt = 0x7a11) ?(engine = Tree_walk)
-    ~transform ~plan ~gen_input () =
+let make_spec ?oracle ?(fuel = 10_000_000) ?(nondet_salt = 0x7a11) ~transform ~plan ~gen_input
+    () =
   {
     transform;
     plan;
@@ -23,14 +20,8 @@ let make_spec ?oracle ?(fuel = 10_000_000) ?(nondet_salt = 0x7a11) ?(engine = Tr
     oracle;
     fuel;
     nondet_salt;
-    engine;
     compiled = lazy (Sbi_lang.Vm.compile transform.Transform.prog);
   }
-
-let execute spec config =
-  match spec.engine with
-  | Tree_walk -> Interp.run spec.transform.Transform.prog config
-  | Bytecode -> Sbi_lang.Vm.run_compiled (Lazy.force spec.compiled) config
 
 (* Per-run observation accumulator.  Stamp arrays avoid clearing
    site/predicate-sized buffers between runs. *)
@@ -111,7 +102,7 @@ let run_one spec ~sampler ~run_index =
       hooks;
     }
   in
-  let result = execute spec config in
+  let result = Interp.run t.Transform.prog config in
   let failed_oracle =
     match (result.Interp.outcome, spec.oracle) with
     | Interp.Finished _, Some oracle -> oracle ~run_index ~args result

@@ -7,8 +7,6 @@
     detection or by a caller-supplied oracle (the paper's MOSS output
     oracle for the non-crashing bug #9). *)
 
-type engine = Tree_walk | Bytecode
-
 type spec = {
   transform : Sbi_instrument.Transform.t;
   plan : Sbi_instrument.Sampler.plan;
@@ -21,17 +19,17 @@ type spec = {
   fuel : int;
   nondet_salt : int;
       (** mixed with the run index to seed each run's [nondet] stream *)
-  engine : engine;
-      (** execution engine; {!Bytecode} compiles once and runs on the VM
-          (identical observable semantics, differentially tested) *)
-  compiled : Sbi_lang.Vm.program Lazy.t;  (** the bytecode, compiled on demand *)
+  compiled : Sbi_lang.Vm.program Lazy.t;
+      (** the bytecode, compiled on demand.  Collection always runs the
+          tree-walking {!Sbi_lang.Interp}; this is for callers that time or
+          test the VM on the same program.  Force it before sharing the
+          spec across domains ([Lazy.force] must not race). *)
 }
 
 val make_spec :
   ?oracle:(run_index:int -> args:string array -> Sbi_lang.Interp.result -> bool) ->
   ?fuel:int ->
   ?nondet_salt:int ->
-  ?engine:engine ->
   transform:Sbi_instrument.Transform.t ->
   plan:Sbi_instrument.Sampler.plan ->
   gen_input:(int -> string array) ->

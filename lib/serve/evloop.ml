@@ -25,10 +25,8 @@
    one request per connection is in flight, so a connection's responses
    leave in request order.
 
-   Listener strategies: with [Per_loop] each domain polls its own
-   listener fd (bound with SO_REUSEPORT — the kernel load-balances
-   accepts); with [Shared] loop 0 polls the single listener and
-   round-robins accepted fds to its peers ([Adopt] message). *)
+   One listener for every transport: loop 0 polls it and round-robins
+   accepted fds to its peers ([Adopt] message), itself included. *)
 
 module Clock = Sbi_obs.Clock
 module Io = Sbi_fault.Io
@@ -42,8 +40,6 @@ external poll_fds : Unix.file_descr array -> int array -> int -> int
    [events] in place (adding 4 = error/hangup), and returns poll(2)'s
    ready count — or -1 when the wait was interrupted (EINTR), leaving
    the caller to recompute its timeout budget. *)
-
-external set_reuseport : Unix.file_descr -> bool = "sbi_serve_set_reuseport"
 
 external nofile : int -> int * int = "sbi_serve_nofile"
 
@@ -103,10 +99,6 @@ type config = {
   on_close : unit -> unit;
 }
 
-type listeners =
-  | Per_loop of Unix.file_descr array  (* one SO_REUSEPORT listener per loop *)
-  | Shared of Unix.file_descr  (* loop 0 accepts and distributes *)
-
 type batch_acc = { mutable b_payloads : string list; mutable b_count : int }
 
 type conn = {
@@ -146,12 +138,11 @@ type loop = {
 
 type t = {
   cfg : config;
-  per_loop : bool;
   loops : loop array;
   stop : bool Atomic.t;
   nconns : int Atomic.t;  (* admitted, not yet closed — the exact cap counter *)
   next_id : int Atomic.t;
-  mutable rr : int;  (* shared-listener round-robin cursor; loop 0 only *)
+  mutable rr : int;  (* accept round-robin cursor; loop 0 only *)
   wq : (loop * conn * request) Queue.t;
   wq_mx : Mutex.t;
   wq_cv : Condition.t;
@@ -411,14 +402,10 @@ let drain_inbox g l =
           end)
     msgs
 
-let pick_loop g l =
-  if g.per_loop then l
-  else begin
-    let n = Array.length g.loops in
-    let i = g.rr in
-    g.rr <- (i + 1) mod n;
-    g.loops.(i)
-  end
+let pick_loop g =
+  let i = g.rr in
+  g.rr <- (i + 1) mod Array.length g.loops;
+  g.loops.(i)
 
 let accept_step g l lfd =
   let rec burst budget =
@@ -449,7 +436,7 @@ let accept_step g l lfd =
             burst (budget - 1)
           end
           else begin
-            let target = pick_loop g l in
+            let target = pick_loop g in
             if target == l then register g l fd
             else if not (post target (Adopt fd)) then begin
               (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -628,26 +615,15 @@ let mk_loop id listener =
     l_pause_until = 0;
   }
 
-let start (cfg : config) (listeners : listeners) =
+let start (cfg : config) lfd =
   let nloops = max 1 cfg.loops in
   (* the accept burst relies on EAGAIN to stop: a blocking listener
      would wedge the whole loop domain inside accept(2) *)
-  (match listeners with
-  | Per_loop lfds -> Array.iter Unix.set_nonblock lfds
-  | Shared lfd -> Unix.set_nonblock lfd);
-  let per_loop, listener_of =
-    match listeners with
-    | Per_loop lfds ->
-        if Array.length lfds <> nloops then
-          invalid_arg "Evloop.start: one listener per loop required";
-        (true, fun i -> Some lfds.(i))
-    | Shared lfd -> (false, fun i -> if i = 0 then Some lfd else None)
-  in
+  Unix.set_nonblock lfd;
   let g =
     {
       cfg = { cfg with loops = nloops };
-      per_loop;
-      loops = Array.init nloops (fun i -> mk_loop i (listener_of i));
+      loops = Array.init nloops (fun i -> mk_loop i (if i = 0 then Some lfd else None));
       stop = Atomic.make false;
       nconns = Atomic.make 0;
       next_id = Atomic.make 0;

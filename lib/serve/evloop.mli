@@ -36,9 +36,6 @@ val wait_readable :
 val wait_writable :
   ?timeout_ms:int -> Unix.file_descr -> [ `Ready | `Timeout ]
 
-val set_reuseport : Unix.file_descr -> bool
-(** Set SO_REUSEPORT (before bind); [false] where unsupported. *)
-
 val nofile_limit : unit -> int * int
 (** Current RLIMIT_NOFILE as [(soft, hard)]; -1 means unlimited. *)
 
@@ -72,18 +69,13 @@ type config = {
   on_close : unit -> unit;
 }
 
-type listeners =
-  | Per_loop of Unix.file_descr array
-      (** one listener per loop (bind them with {!set_reuseport}); each
-          loop accepts on its own fd and the kernel load-balances *)
-  | Shared of Unix.file_descr
-      (** loop 0 accepts and round-robins connections to its peers *)
-
 type t
 
-val start : config -> listeners -> t
-(** Spawn the loop domains and worker threads.  Listener fds remain
-    owned by the caller (close them after {!stop}). *)
+val start : config -> Unix.file_descr -> t
+(** Spawn the loop domains and worker threads.  Loop 0 accepts on the
+    listener and round-robins connections across every loop, itself
+    included.  The listener fd remains owned by the caller (close it
+    after {!stop}). *)
 
 val stop : t -> unit
 (** Idempotent: wake and join every loop (closing all connections),

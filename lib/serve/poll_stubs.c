@@ -1,5 +1,5 @@
-/* poll(2) readiness for Sbi_serve.Evloop, plus the two small socket/rlimit
-   helpers the connection front end needs.
+/* poll(2) readiness for Sbi_serve.Evloop, plus the small rlimit helper
+   the connection front end needs.
 
    Why not Unix.select: fd_set is a fixed bitmap of FD_SETSIZE (1024)
    descriptors, and OCaml's Unix.select raises once any watched fd crosses
@@ -19,7 +19,6 @@
 #include <poll.h>
 #include <stdlib.h>
 #include <sys/resource.h>
-#include <sys/socket.h>
 #include <sys/types.h>
 
 /* Event bits shared with Evloop: 1 = readable, 2 = writable,
@@ -65,22 +64,6 @@ CAMLprim value sbi_serve_poll(value vfds, value vevents, value vtimeout)
   }
   free(pfds);
   CAMLreturn(Val_int(r));
-}
-
-/* Sets SO_REUSEPORT (not exposed by OCaml's Unix) so each acceptor domain
-   can bind its own listener on the same address and let the kernel
-   load-balance accepts.  Returns false where the option is unsupported;
-   the caller falls back to a single shared listener. */
-CAMLprim value sbi_serve_set_reuseport(value vfd)
-{
-#ifdef SO_REUSEPORT
-  int one = 1;
-  return Val_bool(setsockopt(Int_val(vfd), SOL_SOCKET, SO_REUSEPORT, &one,
-                             sizeof one) == 0);
-#else
-  (void)vfd;
-  return Val_false;
-#endif
 }
 
 /* RLIMIT_NOFILE: req < 0 queries; req >= 0 sets the soft limit to

@@ -18,8 +18,8 @@ type config = {
          the window; 0 keeps the inline fsync-per-request path *)
   max_batch : int;  (* force a group-commit flush at this many pending reports *)
   acceptors : int;
-      (* Evloop domains, >= 1 (SO_REUSEPORT per-loop listeners on TCP
-         when available, shared-listener distributor otherwise) *)
+      (* Evloop domains, >= 1; loop 0 accepts on the one listener and
+         round-robins connections across all of them *)
   max_conns : int;
       (* exact connection admission cap: beyond it a client is accepted,
          answered [err busy], and closed (fault.overload) *)
@@ -51,9 +51,7 @@ type t = {
   mutable index : Index.t;  (* swapped by the compaction thread, under [lock] *)
   lock : Mutex.t;  (* guards index state and the ingest writer *)
   metrics : Metrics.t;
-  listen_fds : Unix.file_descr list;
-      (* one per acceptor domain with SO_REUSEPORT, else a single shared
-         listener *)
+  listen_fd : Unix.file_descr;
   mutable ev : Evloop.t option;  (* set by [start] once the loops run *)
   stop_flag : bool Atomic.t;
   writer : Shard_log.writer option;
@@ -520,54 +518,20 @@ let open_ingest_writer config (index : Index.t) =
         (Shard_log.create_writer ~io:config.io ~fsync:config.fsync ~dir
            ~shard:(fresh_shard_id ~dir) ())
 
-(* Builds the listener set.  With [acceptors >= 2] on TCP, tries one
-   SO_REUSEPORT listener per acceptor domain (the kernel load-balances
-   accepts across them); where the option is unavailable — or on Unix
-   sockets, where it does not apply — falls back to a single shared
-   listener that loop 0 polls and distributes.  The deep backlog absorbs
+(* The one listener, on every transport.  The deep backlog absorbs
    connection storms between accept bursts. *)
-let make_listeners config sa domain =
-  let backlog = 1024 in
-  let mk () =
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+let make_listener sa =
+  let domain = Unix.domain_of_sockaddr sa in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  try
     (match domain with
     | Unix.PF_INET | Unix.PF_INET6 -> Unix.setsockopt fd Unix.SO_REUSEADDR true
     | _ -> ());
-    fd
-  in
-  let bind_listen fd =
     Unix.bind fd sa;
-    Unix.listen fd backlog
-  in
-  let is_tcp = match domain with Unix.PF_INET | Unix.PF_INET6 -> true | _ -> false in
-  let fds = ref [] in
-  try
-    if config.acceptors >= 2 && is_tcp then begin
-      let first = mk () in
-      fds := [ first ];
-      if Evloop.set_reuseport first then begin
-        bind_listen first;
-        for _ = 2 to config.acceptors do
-          let fd = mk () in
-          fds := fd :: !fds;
-          ignore (Evloop.set_reuseport fd);
-          bind_listen fd
-        done;
-        (List.rev !fds, `Per_loop)
-      end
-      else begin
-        bind_listen first;
-        ([ first ], `Shared)
-      end
-    end
-    else begin
-      let fd = mk () in
-      fds := [ fd ];
-      bind_listen fd;
-      ([ fd ], `Shared)
-    end
+    Unix.listen fd 1024;
+    fd
   with e ->
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !fds;
+    (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
 let start config index =
@@ -584,8 +548,7 @@ let start config index =
   (match config.addr with
   | Wire.Unix_sock path when Sys.file_exists path -> Sys.remove path
   | _ -> ());
-  let domain = Unix.domain_of_sockaddr sa in
-  let listen_fds, listener_mode = make_listeners config sa domain in
+  let listen_fd = make_listener sa in
   (* everything acquired below must be released if a later step raises
      (e.g. an unwritable --log dir): the listener fd, the bound socket
      file, the ingest writer, the commit coordinator —
@@ -609,7 +572,7 @@ let start config index =
         index;
         lock = Mutex.create ();
         metrics = Metrics.create ();
-        listen_fds;
+        listen_fd;
         ev = None;
         stop_flag = Atomic.make false;
         writer = !writer;
@@ -620,11 +583,6 @@ let start config index =
         compactions = 0;
         compact_thread = None;
       }
-    in
-    let listeners =
-      match listener_mode with
-      | `Per_loop -> Evloop.Per_loop (Array.of_list listen_fds)
-      | `Shared -> Evloop.Shared (List.hd listen_fds)
     in
     let ev_cfg =
       {
@@ -642,7 +600,7 @@ let start config index =
         on_close = (fun () -> Metrics.connection_closed t.metrics);
       }
     in
-    ev := Some (Evloop.start ev_cfg listeners);
+    ev := Some (Evloop.start ev_cfg listen_fd);
     t.ev <- !ev;
     (match config.compact_every with
     | Some period when period > 0. ->
@@ -657,7 +615,7 @@ let start config index =
       (match !writer with
       | Some w -> ( try ignore (Shard_log.close_writer w) with _ -> ())
       | None -> ());
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listen_fds;
+      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       (match config.addr with
       | Wire.Unix_sock path when Sys.file_exists path -> (
           try Sys.remove path with Sys_error _ -> ())
@@ -669,10 +627,10 @@ let addr t = t.config.addr
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then begin
     (* join the loop domains (closing every connection) and drain the
-       dispatch workers, then retire the listeners.  In-flight ingests
+       dispatch workers, then retire the listener.  In-flight ingests
        complete against the still-live group-commit coordinator. *)
     Option.iter Evloop.stop t.ev;
-    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listen_fds;
+    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (match t.compact_thread with Some th -> Thread.join th | None -> ());
     (* workers are gone, so no submitter can race the final flush: stop
        the coordinator (flushing any pending window) before the writer

@@ -3,10 +3,10 @@
     Serves the {!Wire} protocol over a Unix or TCP socket through the
     event-driven {!Evloop} front end: [acceptors] poll(2) loop domains
     with per-connection state machines and a bounded dispatch worker
-    pool.  On TCP with [acceptors >= 2] each loop accepts on its own
-    SO_REUSEPORT listener; otherwise loop 0 distributes from a shared
-    listener.  Scales to thousands of concurrent connections (no
-    per-connection thread, no FD_SETSIZE ceiling).
+    pool.  On every transport loop 0 accepts on the one listener and
+    round-robins connections across the loops.  Scales to thousands of
+    concurrent connections (no per-connection thread, no FD_SETSIZE
+    ceiling).
 
     The front end enforces the [max_conns] admission cap (excess clients
     get a one-line [err busy] and a [fault.overload] count, never a
@@ -90,8 +90,9 @@ type config = {
       (** force a group-commit flush once this many reports are pending
           in the window (default 512) *)
   acceptors : int;
-      (** {!Evloop} loop domains, [>= 1] (default 1: one loop on a
-          shared listener) *)
+      (** {!Evloop} loop domains, [>= 1] (default 1).  Loop 0 accepts
+          on the one listener and hands connections round-robin to all
+          loops, itself included. *)
   max_conns : int;
       (** exact connection admission cap (default 4096): a client
           beyond it is accepted, answered [err busy], closed, and

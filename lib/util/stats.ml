@@ -96,7 +96,9 @@ let normal_quantile p =
     -.num /. den
   end
 
-let z_95 = 1.959963984540054
+(* The paper's 95% (§3.2) is the only confidence level, so its
+   two-sided critical value is evaluated once, here, not per interval. *)
+let z_95 = normal_quantile (1. -. ((1. -. 0.95) /. 2.))
 
 type interval = { lo : float; hi : float }
 
@@ -105,33 +107,26 @@ let interval_contains { lo; hi } x = lo <= x && x <= hi
 
 let clamp lo hi x = if x < lo then lo else if x > hi then hi else x
 
-let critical_z confidence =
-  if confidence <= 0. || confidence >= 1. then
-    invalid_arg "Stats: confidence must be in (0,1)";
-  normal_quantile (1. -. ((1. -. confidence) /. 2.))
-
-let proportion_ci ?(confidence = 0.95) ~successes ~trials () =
+let proportion_ci ~successes ~trials () =
   if trials <= 0 then { lo = 0.; hi = 1. }
   else begin
-    let z = critical_z confidence in
     let n = float_of_int trials in
     let p = float_of_int successes /. n in
-    let z2 = z *. z in
+    let z2 = z_95 *. z_95 in
     let denom = 1. +. (z2 /. n) in
     let centre = (p +. (z2 /. (2. *. n))) /. denom in
     let half =
-      z *. sqrt ((p *. (1. -. p) /. n) +. (z2 /. (4. *. n *. n))) /. denom
+      z_95 *. sqrt ((p *. (1. -. p) /. n) +. (z2 /. (4. *. n *. n))) /. denom
     in
     { lo = clamp 0. 1. (centre -. half); hi = clamp 0. 1. (centre +. half) }
   end
 
-let wald_proportion_ci ?(confidence = 0.95) ~successes ~trials () =
+let wald_proportion_ci ~successes ~trials () =
   if trials <= 0 then { lo = 0.; hi = 1. }
   else begin
-    let z = critical_z confidence in
     let n = float_of_int trials in
     let p = float_of_int successes /. n in
-    let half = z *. sqrt (p *. (1. -. p) /. n) in
+    let half = z_95 *. sqrt (p *. (1. -. p) /. n) in
     { lo = clamp 0. 1. (p -. half); hi = clamp 0. 1. (p +. half) }
   end
 
@@ -147,18 +142,17 @@ let increase_stderr ~f ~s ~f_obs ~s_obs =
     sqrt (v_fail +. v_ctx)
   end
 
-let increase_ci ?(confidence = 0.95) ~f ~s ~f_obs ~s_obs () =
+let increase_ci ~f ~s ~f_obs ~s_obs () =
   let n_true = f + s in
   let n_obs = f_obs + s_obs in
   if n_true = 0 || n_obs = 0 then { lo = -1.; hi = 1. }
   else begin
-    let z = critical_z confidence in
     let inc =
       (float_of_int f /. float_of_int n_true)
       -. (float_of_int f_obs /. float_of_int n_obs)
     in
     let se = increase_stderr ~f ~s ~f_obs ~s_obs in
-    { lo = clamp (-1.) 1. (inc -. (z *. se)); hi = clamp (-1.) 1. (inc +. (z *. se)) }
+    { lo = clamp (-1.) 1. (inc -. (z_95 *. se)); hi = clamp (-1.) 1. (inc +. (z_95 *. se)) }
   end
 
 let two_proportion_z ~f ~s ~f_obs ~s_obs =
@@ -178,7 +172,7 @@ let two_proportion_z ~f ~s ~f_obs ~s_obs =
 
 let harmonic_mean2 x y = if x <= 0. || y <= 0. then 0. else 2. /. ((1. /. x) +. (1. /. y))
 
-let importance_ci ?(confidence = 0.95) ~increase ~increase_stderr ~sensitivity
+let importance_ci ~increase ~increase_stderr ~sensitivity
     ~sensitivity_stderr () =
   let h = harmonic_mean2 increase sensitivity in
   if h <= 0. then { lo = 0.; hi = 0. }
@@ -192,8 +186,7 @@ let importance_ci ?(confidence = 0.95) ~increase ~increase_stderr ~sensitivity
       (dx *. dx *. increase_stderr *. increase_stderr)
       +. (dy *. dy *. sensitivity_stderr *. sensitivity_stderr)
     in
-    let z = critical_z confidence in
-    let half = z *. sqrt var in
+    let half = z_95 *. sqrt var in
     { lo = clamp 0. 1. (h -. half); hi = clamp 0. 1. (h +. half) }
   end
 

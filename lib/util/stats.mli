@@ -35,7 +35,9 @@ val normal_quantile : float -> float
     < 1.15e-9).  @raise Invalid_argument outside (0, 1). *)
 
 val z_95 : float
-(** Two-sided 95% critical value, 1.959964. *)
+(** Two-sided 95% critical value, [normal_quantile 0.975] (about
+    1.959964): the paper's confidence level (§3.2) and the only one every
+    interval below uses. *)
 
 (** {1 Intervals} *)
 
@@ -44,11 +46,11 @@ type interval = { lo : float; hi : float }
 val interval_width : interval -> float
 val interval_contains : interval -> float -> bool
 
-val proportion_ci : ?confidence:float -> successes:int -> trials:int -> unit -> interval
+val proportion_ci : successes:int -> trials:int -> unit -> interval
 (** Wilson score interval for a binomial proportion.  Well-behaved for small
     counts and extreme proportions.  [trials = 0] yields [{lo=0.; hi=1.}]. *)
 
-val wald_proportion_ci : ?confidence:float -> successes:int -> trials:int -> unit -> interval
+val wald_proportion_ci : successes:int -> trials:int -> unit -> interval
 (** Classical Wald interval, clamped to [\[0,1\]]; used where the paper's
     normal-approximation formulas apply. *)
 
@@ -60,7 +62,7 @@ val increase_stderr : f:int -> s:int -> f_obs:int -> s_obs:int -> float
     Failure = f/(f+s) over runs where P was true, Context = F(obs)/(F+S obs)
     over runs where P's site was sampled. *)
 
-val increase_ci : ?confidence:float -> f:int -> s:int -> f_obs:int -> s_obs:int -> unit -> interval
+val increase_ci : f:int -> s:int -> f_obs:int -> s_obs:int -> unit -> interval
 (** Normal-approximation CI for Increase(P). *)
 
 val two_proportion_z : f:int -> s:int -> f_obs:int -> s_obs:int -> float
@@ -75,7 +77,6 @@ val harmonic_mean2 : float -> float -> float
 (** Harmonic mean of two non-negative numbers; 0 if either is <= 0. *)
 
 val importance_ci :
-  ?confidence:float ->
   increase:float ->
   increase_stderr:float ->
   sensitivity:float ->

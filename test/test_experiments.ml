@@ -9,53 +9,7 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
 
-let tiny_config =
-  {
-    Harness.default_config with
-    Harness.seed = 42;
-    nruns = Some 400;
-    sampling = Harness.Adaptive 100;
-  }
-
-(* The harness defaults to the tree-walk engine; the whole experiment
-   pipeline (instrumentation, trained sampling plan, oracle) must produce
-   the identical dataset under the bytecode VM. *)
-let test_harness_engine_equivalence () =
-  let config engine =
-    {
-      Harness.seed = 11;
-      nruns = Some 120;
-      sampling = Harness.Adaptive 40;
-      engine;
-    }
-  in
-  Alcotest.(check bool) "default engine is tree-walk" true
-    (Harness.default_config.Harness.engine = Sbi_runtime.Collect.Tree_walk
-    && Harness.quick_config.Harness.engine = Sbi_runtime.Collect.Tree_walk);
-  let a =
-    Harness.collect_study ~config:(config Sbi_runtime.Collect.Bytecode) Sbi_corpus.Corpus.ccryptim
-  in
-  let b =
-    Harness.collect_study ~config:(config Sbi_runtime.Collect.Tree_walk) Sbi_corpus.Corpus.ccryptim
-  in
-  let da = a.Harness.dataset and db = b.Harness.dataset in
-  Alcotest.(check int) "same run count" (Sbi_runtime.Dataset.nruns da)
-    (Sbi_runtime.Dataset.nruns db);
-  Array.iteri
-    (fun i (r : Sbi_runtime.Report.t) ->
-      let r' = db.Sbi_runtime.Dataset.runs.(i) in
-      Alcotest.(check bool) "same outcome"
-        (Sbi_runtime.Report.outcome_is_failure r.Sbi_runtime.Report.outcome)
-        (Sbi_runtime.Report.outcome_is_failure r'.Sbi_runtime.Report.outcome);
-      Alcotest.(check (array int)) "same true preds" r.Sbi_runtime.Report.true_preds
-        r'.Sbi_runtime.Report.true_preds;
-      Alcotest.(check (array int)) "same true counts" r.Sbi_runtime.Report.true_counts
-        r'.Sbi_runtime.Report.true_counts;
-      Alcotest.(check (array int)) "same observed sites" r.Sbi_runtime.Report.observed_sites
-        r'.Sbi_runtime.Report.observed_sites;
-      Alcotest.(check (option string)) "same crash signature" r.Sbi_runtime.Report.crash_sig
-        r'.Sbi_runtime.Report.crash_sig)
-    da.Sbi_runtime.Dataset.runs
+let tiny_config = { Harness.seed = 42; nruns = Some 400; sampling = Harness.Adaptive 100 }
 
 (* Collected once, shared by the tests below. *)
 let moss_bundle = lazy (Harness.collect_study ~config:tiny_config Sbi_corpus.Corpus.mossim)
@@ -270,16 +224,18 @@ let test_html_report () =
   Sys.remove path;
   Alcotest.(check bool) "written to disk" true (size > 2000)
 
+(* Cases whose names hold a number (the table cases) are told apart in the
+   runner's output partly by their position, so they keep positions 8-13. *)
 let suite =
   [
     Alcotest.test_case "bundle shape and adaptive plan" `Slow test_bundle_shape;
-    Alcotest.test_case "harness engine equivalence" `Slow test_harness_engine_equivalence;
     Alcotest.test_case "static follow-up (§1)" `Slow test_static_followup;
     Alcotest.test_case "html report" `Slow test_html_report;
     Alcotest.test_case "pruning reduction" `Slow test_pruning_reduction;
     Alcotest.test_case "elimination isolates bugs" `Slow test_elimination_isolates_bugs;
     Alcotest.test_case "selection scores sane" `Slow test_selection_scores_sane;
     Alcotest.test_case "per-bug assignment" `Slow test_assign_selections;
+    Alcotest.test_case "discard-proposal ablation" `Slow test_ablation;
     Alcotest.test_case "table 1 renders" `Slow test_table1_renders;
     Alcotest.test_case "table 1 super/sub-bug contrast" `Slow test_table1_shape;
     Alcotest.test_case "table 3 renders" `Slow test_table3_renders;
@@ -287,7 +243,6 @@ let suite =
     Alcotest.test_case "table 8 renders" `Slow test_table8_renders;
     Alcotest.test_case "table 9 renders" `Slow test_table9_renders;
     Alcotest.test_case "predictor table renders" `Slow test_predictor_table_renders;
-    Alcotest.test_case "discard-proposal ablation" `Slow test_ablation;
     Alcotest.test_case "stack study" `Slow test_stack_study;
     Alcotest.test_case "convergence curves" `Slow test_curves;
     Alcotest.test_case "runs-needed on real data" `Slow test_runs_needed_on_bundle;

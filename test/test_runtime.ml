@@ -308,32 +308,9 @@ let test_pred_texts_round_trip () =
         ds'.Dataset.runs.(i).Report.true_counts)
     ds.Dataset.runs
 
-let test_engine_equivalence () =
-  (* the Bytecode engine must produce an identical dataset *)
-  let t = Transform.instrument (Check.check_string crashy_src) in
-  let mk engine =
-    Collect.make_spec ~engine ~transform:t ~plan:Sampler.Always
-      ~gen_input:(fun run -> [| string_of_int (run mod 10) |])
-      ()
-  in
-  let a = Collect.collect ~seed:9 (mk Collect.Tree_walk) ~nruns:30 in
-  let b = Collect.collect ~seed:9 (mk Collect.Bytecode) ~nruns:30 in
-  Array.iteri
-    (fun i (r : Report.t) ->
-      let r' = b.Dataset.runs.(i) in
-      Alcotest.(check bool) "same outcome" (Report.outcome_is_failure r.Report.outcome)
-        (Report.outcome_is_failure r'.Report.outcome);
-      Alcotest.(check (array int)) "same true preds" r.Report.true_preds r'.Report.true_preds;
-      Alcotest.(check (array int)) "same observed sites" r.Report.observed_sites
-        r'.Report.observed_sites;
-      Alcotest.(check (option string)) "same crash signature" r.Report.crash_sig
-        r'.Report.crash_sig)
-    a.Dataset.runs
-
 let suite =
   [
     Alcotest.test_case "report membership" `Quick test_report_membership;
-    Alcotest.test_case "bytecode engine equivalence" `Quick test_engine_equivalence;
     Alcotest.test_case "observed-true counts (footnote 2)" `Quick test_true_counts;
     Alcotest.test_case "site coverage (§6)" `Quick test_site_coverage;
     Alcotest.test_case "dataset v2 texts round trip" `Quick test_pred_texts_round_trip;

@@ -387,14 +387,7 @@ let label_pins =
 
 let test_study_label_pins () =
   let open Sbi_experiments in
-  let config =
-    {
-      Harness.default_config with
-      Harness.seed = 42;
-      nruns = Some 120;
-      sampling = Harness.Uniform 0.05;
-    }
-  in
+  let config = { Harness.seed = 42; nruns = Some 120; sampling = Harness.Uniform 0.05 } in
   List.iter
     (fun (name, failing, pins) ->
       let study =

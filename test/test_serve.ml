@@ -217,8 +217,7 @@ let free_port () =
 (* A live server over the fixture index on [acceptors] event loops.  The
    group-commit window defaults to [Server.default_config]'s — what
    [cbi serve] runs.  [tcp] swaps the Unix socket for a loopback TCP
-   listener (needed to exercise the per-loop SO_REUSEPORT listener mode,
-   which does not apply to Unix sockets). *)
+   listener, so the same shared-listener accept path runs over TCP. *)
 let with_server ~acceptors ?(max_conns = 4096) ?(tcp = false) ?(fsync = true)
     ?group_commit_ms ?(timeout = 10.) f =
   with_temp_dir (fun tmp ->

@@ -38,6 +38,11 @@ let test_normal_quantile () =
     (feq ~eps:1e-6 (Stats.normal_quantile 0.975) 1.959963985);
   Alcotest.(check bool) "q(0.025) ~ -1.96" true
     (feq ~eps:1e-6 (Stats.normal_quantile 0.025) (-1.959963985));
+  (* every interval's critical value: pinned to the quantile's bits, so
+     interval bounds cannot drift from the evaluated 95% quantile *)
+  Alcotest.(check int64) "z_95 = q(0.975), bit for bit"
+    (Int64.bits_of_float (Stats.normal_quantile 0.975))
+    (Int64.bits_of_float Stats.z_95);
   Alcotest.check_raises "q(0) rejected"
     (Invalid_argument "Stats.normal_quantile: p must be in (0,1)") (fun () ->
       ignore (Stats.normal_quantile 0.))

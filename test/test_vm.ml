@@ -4,8 +4,6 @@
    be identical. *)
 open Sbi_lang
 
-let compile_src src = Vm.compile (Check.check_string src)
-
 let run_vm ?(config = Interp.default_config) src = Vm.run (Check.check_string src) config
 
 let finished_int r =
@@ -76,20 +74,6 @@ let test_vm_crash_stack () =
   | Interp.Crashed crash ->
       Alcotest.(check (list string)) "stack" [ "c"; "b"; "main" ] crash.Interp.stack
   | _ -> Alcotest.fail "expected crash"
-
-let test_disassemble () =
-  let p = compile_src "int main() { int x = 1; if (x > 0) { x = 2; } return x; }" in
-  let main = p.Vm.funcs.(0) in
-  let dis = Vm.disassemble main in
-  let has needle =
-    let hl = String.length dis and nl = String.length needle in
-    let rec go i = i + nl <= hl && (String.sub dis i nl = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "has tick" true (has "tick.stmt");
-  Alcotest.(check bool) "has branch obs" true (has "obs.branch");
-  Alcotest.(check bool) "has conditional jump" true (has "jmp.ifnot");
-  Alcotest.(check bool) "has ret" true (has "ret")
 
 (* --- differential testing --- *)
 
@@ -227,7 +211,6 @@ let suite =
     Alcotest.test_case "vm heap" `Quick test_vm_heap;
     Alcotest.test_case "vm crash kinds" `Quick test_vm_crashes;
     Alcotest.test_case "vm crash stack" `Quick test_vm_crash_stack;
-    Alcotest.test_case "disassembler" `Quick test_disassemble;
     Alcotest.test_case "corpus compiles to valid bytecode" `Quick test_corpus_compiles;
     QCheck_alcotest.to_alcotest qcheck_differential_generated;
     Alcotest.test_case "differential: corpus programs" `Quick test_differential_corpus;
