@@ -802,12 +802,17 @@ let conn_check () =
    against a variant that must cost at most [gate_pct] more, plus a
    [gate_floor_s] noise floor.  A timed loop repeats the path until it
    lasts at least [gate_loop_s], so the floor is at most 2% of what it
-   guards.  Base and variant loops alternate, best of [gate_reps] each. *)
+   guards.  One best-of-5 pair cannot resolve 2% on a host whose A/A
+   pairs (base against base) spread by tens of percent, so the gate
+   judges the median variant/base ratio of [gate_pairs] interleaved
+   pairs, alternating which side runs first, and prints the median and
+   interquartile spread of A/A pairs taken between them: the noise the
+   verdict has to be read against. *)
 
 let gate_pct = 2.0
 let gate_floor_s = 2e-3
 let gate_loop_s = 0.1
-let gate_reps = 5
+let gate_pairs = 11
 
 let best_of n f =
   let best = ref infinity in
@@ -817,66 +822,95 @@ let best_of n f =
   done;
   !best
 
-(* One A/B pair: [base_s] and [variant_s] are the best loops of [calls]
-   calls each. *)
-type ab = { ab_name : string; calls : int; base_s : float; variant_s : float }
+(* One A/B comparison over loops of [calls] calls: median loop times,
+   the median variant/base ratio, and the A/A ratios' median and
+   interquartile range. *)
+type ab = {
+  ab_name : string;
+  calls : int;
+  base_s : float;
+  variant_s : float;
+  ratio : float;
+  aa_ratio : float;
+  aa_iqr : float;
+}
 
-(* Calls per loop: first estimated from one warm call of [base], then
-   raised and the pair re-timed until [base]'s best loop lasts at least
-   [gate_loop_s]. *)
 let measure_ab ab_name ~base ~variant =
-  (* calls for a loop of 1.25 x [gate_loop_s], when [calls] calls took [dt] *)
-  let calls_for ~calls dt =
-    let want = float_of_int calls *. 1.25 *. gate_loop_s /. Float.max dt 1e-6 in
-    max 1 (int_of_float (Float.ceil want))
+  let loop calls f () =
+    for _ = 1 to calls do
+      f ()
+    done
   in
-  let rec go calls =
-    let loop f () =
-      for _ = 1 to calls do
-        f ()
-      done
-    in
-    let best_base = ref infinity and best_variant = ref infinity in
-    let run best f = best := Float.min !best (snd (time (loop f))) in
-    for _ = 1 to gate_reps do
-      run best_base base;
-      run best_variant variant
-    done;
-    if !best_base >= gate_loop_s then
-      { ab_name; calls; base_s = !best_base; variant_s = !best_variant }
-    else go (max (calls + 1) (calls_for ~calls !best_base))
-  in
+  (* calls per loop: raised until one base loop lasts 1.25 x
+     [gate_loop_s], the margin keeping the pairs' loops above it *)
   base ();
-  let (), dt = time base in
-  go (calls_for ~calls:1 dt)
+  let want = 1.25 *. gate_loop_s in
+  let rec calibrate calls =
+    let (), dt = time (loop calls base) in
+    if dt >= want then calls
+    else
+      calibrate
+        (max (calls + 1)
+           (int_of_float (Float.ceil (float_of_int calls *. 1.25 *. want /. Float.max dt 1e-6))))
+  in
+  let calls = calibrate 1 in
+  (* pair [i]: (base loop, variant loop), the base first when [i] is even *)
+  let pair i ~base ~variant =
+    let tb () = snd (time (loop calls base)) and tv () = snd (time (loop calls variant)) in
+    if i mod 2 = 0 then
+      let b = tb () in
+      (b, tv ())
+    else
+      let v = tv () in
+      (tb (), v)
+  in
+  let ab = Array.make gate_pairs (0., 0.) and aa = Array.make gate_pairs 0. in
+  for i = 0 to gate_pairs - 1 do
+    ab.(i) <- pair i ~base ~variant;
+    let a1, a2 = pair i ~base ~variant:base in
+    aa.(i) <- a2 /. a1
+  done;
+  let med = Sbi_util.Stats.median and pct = Sbi_util.Stats.percentile in
+  {
+    ab_name;
+    calls;
+    base_s = med (Array.map fst ab);
+    variant_s = med (Array.map snd ab);
+    ratio = med (Array.map (fun (b, v) -> v /. b) ab);
+    aa_ratio = med aa;
+    aa_iqr = pct aa 75. -. pct aa 25.;
+  }
+
+(* The largest variant/base ratio the budget allows at this base time. *)
+let budget_ratio ab = 1. +. (gate_pct /. 100.) +. (gate_floor_s /. Float.max ab.base_s 1e-9)
 
 let print_ab ~base ~variant ab =
-  Printf.printf "  %-18s %s %8.1f ms | %s %8.1f ms (%+.2f%%), %d calls/loop\n" ab.ab_name base
-    (ab.base_s *. 1e3) variant (ab.variant_s *. 1e3)
-    (100. *. (ab.variant_s -. ab.base_s) /. Float.max ab.base_s 1e-9)
-    ab.calls
+  Printf.printf
+    "  %-18s %s %8.1f ms | %s %8.1f ms | median ratio %.4f (budget %.4f) | A/A median %.4f, \
+     IQR %.4f | %d calls/loop\n"
+    ab.ab_name base (ab.base_s *. 1e3) variant (ab.variant_s *. 1e3) ab.ratio (budget_ratio ab)
+    ab.aa_ratio ab.aa_iqr ab.calls
 
 (* Bench entries keep one call's time, whatever the loop length. *)
 let per_call_ns ab =
   let per t = t *. 1e9 /. float_of_int ab.calls in
   (per ab.base_s, per ab.variant_s)
 
-(* The gate itself: exit 0 iff every pair's variant is within
+(* The gate itself: exit 0 iff every pair's median ratio is within
    [gate_pct] (+ the floor) of its base. *)
 let overhead_gate check ~ok ~failed pairs =
-  let over =
-    List.filter
-      (fun ab -> ab.variant_s -. ab.base_s > (ab.base_s *. gate_pct /. 100.) +. gate_floor_s)
-      pairs
-  in
+  let over = List.filter (fun ab -> ab.ratio > budget_ratio ab) pairs in
   List.iter
     (fun ab ->
-      Printf.printf "  OVERHEAD: %s %.1f ms -> %.1f ms exceeds %.0f%% + %.0f ms\n%!" ab.ab_name
-        (ab.base_s *. 1e3) (ab.variant_s *. 1e3) gate_pct (gate_floor_s *. 1e3))
+      Printf.printf
+        "  OVERHEAD: %s median ratio %.4f exceeds %.4f (%.0f%% + %.0f ms); A/A median %.4f, \
+         IQR %.4f\n%!"
+        ab.ab_name ab.ratio (budget_ratio ab) gate_pct (gate_floor_s *. 1e3) ab.aa_ratio
+        ab.aa_iqr)
     over;
   if over = [] then begin
-    Printf.printf "%s OK: %s within %.0f%% (+%.0f ms floor, loops >= %.0f ms)\n" check ok
-      gate_pct (gate_floor_s *. 1e3) (gate_loop_s *. 1e3);
+    Printf.printf "%s OK: %s within %.0f%% (+%.0f ms floor, median of %d pairs, loops >= %.0f ms)\n"
+      check ok gate_pct (gate_floor_s *. 1e3) gate_pairs (gate_loop_s *. 1e3);
     exit 0
   end
   else begin
@@ -914,8 +948,8 @@ let fault_overhead ctx =
   let build_ab =
     measure_ab "index build" ~base:(fun () -> build ()) ~variant:(fun () -> build ~io:quiet ())
   in
-  Printf.printf "fault-layer passthrough overhead (%d runs, best of %d loops):\n" ctx.sy_nruns
-    gate_reps;
+  Printf.printf "fault-layer passthrough overhead (%d runs, median of %d pairs):\n" ctx.sy_nruns
+    gate_pairs;
   List.iter (print_ab ~base:"passthrough" ~variant:"quiet injector") [ fold_ab; build_ab ];
   let fold_plain, fold_quiet = per_call_ns fold_ab in
   let build_plain, build_quiet = per_call_ns build_ab in
@@ -978,7 +1012,7 @@ let obs_overhead ctx =
   in
   let topk_ab = ab "indexed topk" topk in
   let append_ab = ab "ingest append" append in
-  Printf.printf "observability overhead (%d runs, best of %d loops):\n" ctx.sy_nruns gate_reps;
+  Printf.printf "observability overhead (%d runs, median of %d pairs):\n" ctx.sy_nruns gate_pairs;
   List.iter (print_ab ~base:"uninstrumented" ~variant:"instrumented") [ topk_ab; append_ab ];
   let topk_off, topk_on = per_call_ns topk_ab in
   let append_off, append_on = per_call_ns append_ab in
@@ -1041,14 +1075,14 @@ let sbfl_overhead ctx =
     measure_ab "topk importance" ~base:topk_hard
       ~variant:(topk_formula Sbi_sbfl.Formula.importance)
   in
-  Printf.printf "sbfl dispatch overhead (%d runs, best of %d loops, %d topk/call):\n"
-    ctx.sy_nruns gate_reps iters;
+  Printf.printf "sbfl dispatch overhead (%d runs, median of %d pairs, %d topk/call):\n"
+    ctx.sy_nruns gate_pairs iters;
   print_ab ~base:"hard-coded" ~variant:"via formula registry" dispatch_ab;
   let hard_ns, _ = per_call_ns dispatch_ab in
   let entries = ref [ ("sbfl:topk:hardcoded", hard_ns) ] in
   List.iter
     (fun (fm : Sbi_sbfl.Formula.t) ->
-      let dt = best_of gate_reps (topk_formula fm) in
+      let dt = best_of 5 (topk_formula fm) in
       entries := (Printf.sprintf "sbfl:topk:%s" fm.Sbi_sbfl.Formula.name, dt *. 1e9) :: !entries;
       Printf.printf "  topk %-26s %8.1f ms\n" fm.Sbi_sbfl.Formula.name (dt *. 1e3))
     (Sbi_sbfl.Registry.all ());

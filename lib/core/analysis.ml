@@ -10,7 +10,7 @@ type t = {
 let analyze ?discard ?max_selections ds =
   let counts = Counts.compute ds in
   let retained = Prune.retained counts in
-  let elimination = Eliminate.run ?discard ?max_selections ~candidates:retained ds in
+  let elimination = Eliminate.run ?discard ?max_selections ds in
   { dataset = ds; counts; retained; elimination }
 
 type summary = {

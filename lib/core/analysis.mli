@@ -14,6 +14,10 @@ val analyze :
   ?max_selections:int ->
   Sbi_runtime.Dataset.t ->
   t
+(** Counts, the Increase-pruned [retained] set, and {!Eliminate.run}
+    under [discard] with §5's candidate seeding: the retained set under
+    proposal 1, every predicate true in some failing run under proposals
+    2 and 3. *)
 
 type summary = {
   runs : int;

@@ -92,15 +92,6 @@ let read_file ?(io = none) path = damage io (read_raw path)
 
 let file_size path = (Unix.stat path).Unix.st_size
 
-let read_sub ?(io = none) path ~pos ~len =
-  if pos < 0 || len < 0 then invalid_arg "Io.read_sub";
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      seek_in ic pos;
-      damage io (really_input_string ic len))
-
 let write_file_atomic ?(io = none) path content =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path) ".tmp" in

@@ -59,11 +59,6 @@ val read_file : ?io:t -> string -> string
 val file_size : string -> int
 (** Size in bytes ([Unix.stat]); raises [Unix_error] if absent. *)
 
-val read_sub : ?io:t -> string -> pos:int -> len:int -> string
-(** Read [len] bytes at byte offset [pos] — the lazy segment loader's
-    footer/posting reads.  Injected faults behave as in {!read_file}.
-    Raises [End_of_file] if the file ends before [pos + len]. *)
-
 val write_file_atomic : ?io:t -> string -> string -> unit
 (** Write to a temp file in the target's directory, then rename.  On
     {!Fault.Crash} the temp file is {e left behind} (a killed process

@@ -288,48 +288,32 @@ let build ?io ~log ~dir () =
 
 let empty_tail meta = { t_reports = [||]; t_len = 0; t_agg = Aggregator.of_meta meta }
 
-(* Lazy-first open: a v2 segment contributes its footer (a few hundred
-   bytes) and a footer-derived aggregate — postings stay on disk until a
-   query touches them.  v1 files and anything the footer path rejects
-   fall back to a full verifying decode, preserving the old behavior. *)
-(* Cache knob: SBI_CACHE_BUDGET (heap words) bounds the posting cache;
-   unset -> Segref's default (2^22 words, ~32 MB). *)
-let cache_budget () =
-  Option.bind (Sys.getenv_opt "SBI_CACHE_BUDGET") int_of_string_opt
-
+(* Lazy open: each segment file is mapped once and contributes its footer
+   (a few hundred bytes) and a footer-derived aggregate — postings stay in
+   the mapping until a query touches them.  Anything the footer path
+   rejects, a missing file or another format version included, is a
+   corrupt segment: skipped and counted. *)
 let open_body ~dir =
   let meta = load_meta dir in
   let man = load_manifest dir in
-  let cache = Segref.create_cache ?budget:(cache_budget ()) () in
+  let cache = Segref.create_cache () in
   let load m =
     let path = Filename.concat dir m.m_file in
-    if not (Sys.file_exists path) then Error "missing file"
-    else
-      match Segment.read_footer path with
-      | Some ft ->
-          if
-            ft.Segment.ft_nsites <> meta.Dataset.nsites
-            || ft.Segment.ft_npreds <> meta.Dataset.npreds
-          then Error "table size mismatch"
-          else if ft.Segment.ft_nruns <> m.m_runs then Error "run count disagrees with manifest"
-          else (
-            match Segment.footer_aggregator ~pred_site:meta.Dataset.pred_site ft with
-            | agg -> Ok (Segref.of_disk ~cache ~path ~file:m.m_file ft, agg, ft.Segment.ft_nruns)
-            | exception Segment.Corrupt msg -> Error msg)
-      | None -> (
-          (* legacy v1 file: eager decode, as before *)
-          match Segment.decode (read_file path) with
-          | seg ->
-              if seg.Segment.nsites <> meta.Dataset.nsites
-                 || seg.Segment.npreds <> meta.Dataset.npreds
-              then Error "table size mismatch"
-              else
-                Ok
-                  ( Segref.of_segment ~file:m.m_file seg,
-                    Segment.aggregator ~pred_site:meta.Dataset.pred_site seg,
-                    seg.Segment.nruns )
+    match
+      let map = Segment.map path in
+      (map, Segment.read_footer map)
+    with
+    | exception Segment.Corrupt msg -> Error msg
+    | map, ft -> (
+        if
+          ft.Segment.ft_nsites <> meta.Dataset.nsites
+          || ft.Segment.ft_npreds <> meta.Dataset.npreds
+        then Error "table size mismatch"
+        else if ft.Segment.ft_nruns <> m.m_runs then Error "run count disagrees with manifest"
+        else
+          match Segment.footer_aggregator ~pred_site:meta.Dataset.pred_site ft with
+          | agg -> Ok (Segref.of_disk ~cache ~path ~file:m.m_file map ft, agg, ft.Segment.ft_nruns)
           | exception Segment.Corrupt msg -> Error msg)
-      | exception Segment.Corrupt msg -> Error msg
   in
   let segs = ref [] in
   let sealed = Aggregator.of_meta meta in
@@ -399,8 +383,11 @@ let append t r =
   t.epoch <- t.epoch + 1
 
 let tail_count t = t.tail.t_len
-let tail_reports t = Array.sub t.tail.t_reports 0 t.tail.t_len
 let epoch t = t.epoch
+
+(* The tail record is shared, not copied: [from] must take no further
+   appends, and snapshots of it keep reading its own segments. *)
+let with_tail_of fresh ~from = { fresh with tail = from.tail; epoch = from.epoch + 1; snap = None }
 
 (* --- epoch-versioned snapshot --- *)
 
@@ -440,7 +427,7 @@ type compact_stats = {
   cp_segments_after : int;
   cp_bytes_before : int;
   cp_bytes_after : int;
-  cp_reclaimed : string list;  (* obsolete segment files (deleted unless remove_old:false) *)
+  cp_reclaimed : string list;  (* obsolete segment files, deleted after the last manifest write *)
 }
 
 type compact_plan = {
@@ -480,9 +467,9 @@ let rec coalesce_cover = function
    write — a kill at any point leaves either the old manifest plus an
    orphan merged file, or the new manifest plus orphan inputs; both are
    cleaned by {!repair} and harmless to {!open_} (which reads only
-   manifest-listed files).  [remove_old:false] skips the deletions so a
-   live server can drain readers off the old files first. *)
-let compact_impl ?io ?tier_max ?(remove_old = true) ~dir () =
+   manifest-listed files).  An index opened before the deletions keeps
+   reading the deleted files through its segments' mappings. *)
+let compact_impl ?io ?tier_max ~dir () =
   let meta = load_meta dir in
   let man0 = load_manifest dir in
   let bytes_of m = List.fold_left (fun a s -> a + file_size (Filename.concat dir s.m_file)) 0 m.man_segs in
@@ -512,7 +499,7 @@ let compact_impl ?io ?tier_max ?(remove_old = true) ~dir () =
                postings on top of the output *)
             let load i =
               let path = Filename.concat dir member_arr.(i).m_file in
-              try Segment.decode (read_file path)
+              try Segment.load path
               with Segment.Corrupt msg ->
                 raise (Format_error (path ^ ": " ^ msg ^ " (run repair before compact)"))
             in
@@ -552,10 +539,7 @@ let compact_impl ?io ?tier_max ?(remove_old = true) ~dir () =
   done;
   ignore meta;
   let reclaimed = List.rev !obsolete in
-  if remove_old then
-    List.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      reclaimed;
+  List.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ()) reclaimed;
   {
     cp_rounds = !rounds;
     cp_merged = !merged_away;
@@ -567,9 +551,9 @@ let compact_impl ?io ?tier_max ?(remove_old = true) ~dir () =
     cp_reclaimed = reclaimed;
   }
 
-let compact ?io ?tier_max ?remove_old ~dir () =
+let compact ?io ?tier_max ~dir () =
   Sbi_obs.Trace.with_span ~name:"index.compact" ~args:dir (fun () ->
-      compact_impl ?io ?tier_max ?remove_old ~dir ())
+      compact_impl ?io ?tier_max ~dir ())
 
 let pp_compact st =
   Printf.sprintf
@@ -623,7 +607,7 @@ let fsck ~dir =
     let path = Filename.concat dir m.m_file in
     if not (Sys.file_exists path) then Error "missing file"
     else
-      match Segment.decode (read_file path) with
+      match Segment.load path with
       | exception Segment.Corrupt msg -> Error msg
       | seg ->
           if seg.Segment.nsites <> meta.Dataset.nsites || seg.Segment.npreds <> meta.Dataset.npreds
@@ -639,14 +623,13 @@ let fsck ~dir =
                | _ -> true)
           then Error "source shard disagrees with manifest"
           else (
-            (* v2: exercise the lazy-open path too, so a footer-only
+            (* exercise the lazy-open path too, so a footer-only
                corruption (the path open_ actually takes) is surfaced *)
-            match Segment.read_footer path with
-            | Some ft ->
+            match Segment.read_footer (Segment.map path) with
+            | ft ->
                 if ft.Segment.ft_nruns <> seg.Segment.nruns then
                   Error "footer run count disagrees with body"
                 else Ok seg
-            | None -> Ok seg
             | exception Segment.Corrupt msg -> Error ("footer: " ^ msg))
   in
   let segs =
@@ -762,7 +745,7 @@ let repair ~dir =
       let path = Filename.concat dir m.m_file in
       if not (Sys.file_exists path) then true
       else
-        match Segment.decode (read_file path) with
+        match Segment.load path with
         | exception Segment.Corrupt _ -> true
         | seg ->
             seg.Segment.nsites <> meta.Dataset.nsites

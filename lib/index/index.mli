@@ -24,13 +24,15 @@
     fan-in bounded as the corpus grows; merges are pure concatenations,
     so every triage result is bit-identical before and after.
 
-    {!open_} is lazy: v2 segments contribute only their footers (a few
-    hundred bytes each) — postings are read on demand through a shared
-    LRU cache ({!Segref}), so opening a million-run index costs
-    manifest + footer reads, not a full decode.  Corrupt source records
-    are skipped exactly as the shard-log reader skips them; a corrupt
-    {e segment} file is skipped (and counted) by {!open_} and reported
-    by {!fsck}. *)
+    {!open_} is lazy: each segment file is mapped once and contributes
+    only its footer (a few hundred bytes) — postings are read from the
+    mapping on demand through a shared LRU cache ({!Segref}), so opening
+    a million-run index costs manifest + footer reads, not a full
+    decode.  Because an open index reads its segments through mappings,
+    it keeps answering after {!compact} deletes the files it maps.
+    Corrupt source records are skipped exactly as the shard-log reader
+    skips them; a corrupt {e segment} file is skipped (and counted) by
+    {!open_} and reported by {!fsck}. *)
 
 exception Format_error of string
 (** Unusable index: missing/invalid meta or manifest, or a source log
@@ -53,7 +55,7 @@ type t = {
   dir : string;
   meta : Sbi_runtime.Dataset.t;  (** site/predicate tables (zero runs) *)
   log_dir : string option;  (** source log recorded in the manifest *)
-  segments : Segref.t array;  (** lazy (v2) or in-memory (v1) handles *)
+  segments : Segref.t array;  (** lazy handles, one mapping per file *)
   sealed : Sbi_ingest.Aggregator.t;
       (** merged aggregate of [segments], computed once at open *)
   cache : Segref.cache;  (** shared posting cache behind all disk segments *)
@@ -79,11 +81,11 @@ val build : ?io:Sbi_fault.Io.t -> log:string -> dir:string -> unit -> build_stat
     existing index. *)
 
 val open_ : dir:string -> t
-(** Load an index: meta, manifest, and per segment either its v2 footer
-    (lazy: postings stay on disk behind the cache) or, for legacy v1
-    files, a full decode.  Corrupt segments are skipped and counted in
-    [stats].  The posting cache budget is [SBI_CACHE_BUDGET] heap words
-    when that environment variable is set, else [2^22] (~32 MB).
+(** Load an index: meta, manifest, and per segment its mapping and
+    footer (lazy: postings stay in the mapping behind the cache).
+    Corrupt segments — missing files and other format versions included
+    — are skipped and counted in [stats].  The posting cache holds
+    [2^22] heap words (~32 MB).
     @raise Format_error when meta or manifest is missing/invalid. *)
 
 val cache_stats : t -> Sbi_store.Lru.stats
@@ -101,14 +103,16 @@ val append : t -> Sbi_runtime.Report.t -> unit
 
 val tail_count : t -> int
 
-val tail_reports : t -> Sbi_runtime.Report.t array
-(** The live tail's reports in arrival order — what a caller must replay
-    into a freshly opened index to carry the unindexed buffer across an
-    index swap (the server's post-compaction reopen). *)
-
 val epoch : t -> int
 (** Monotone version of the index's run population: starts at 0 on
     {!open_}, incremented by every accepted {!append}. *)
+
+val with_tail_of : t -> from:t -> t
+(** [with_tail_of fresh ~from] is [fresh] (a reopen of [from]'s directory,
+    e.g. after {!compact}) carrying [from]'s live tail by reference, at
+    epoch [epoch from + 1] — the server's post-compaction swap.  [from]
+    must take no further {!append}; snapshots already taken of it keep
+    answering from its own segments. *)
 
 val snapshot : t -> Snapshot.t
 (** The epoch-stamped {!Snapshot} of the current population: the
@@ -140,7 +144,9 @@ val num_failures : t -> int
     segments, then atomically rewrites the manifest; obsolete files are
     deleted last.  A crash at any point leaves either the old manifest
     plus orphan merged files or the new manifest plus orphan inputs;
-    {!repair} removes the orphans and {!fsck} then reports clean. *)
+    {!repair} removes the orphans and {!fsck} then reports clean.  An
+    index opened before the deletions keeps reading the deleted files
+    through its mappings until it and its snapshots are collected. *)
 
 type compact_stats = {
   cp_rounds : int;
@@ -150,8 +156,7 @@ type compact_stats = {
   cp_segments_after : int;
   cp_bytes_before : int;
   cp_bytes_after : int;  (** live (manifest-listed) bytes after *)
-  cp_reclaimed : string list;
-      (** obsolete segment files — deleted already unless [remove_old:false] *)
+  cp_reclaimed : string list;  (** obsolete segment files, already deleted *)
 }
 
 type compact_plan = {
@@ -159,14 +164,11 @@ type compact_plan = {
   pl_groups : (int * string list) list;  (** tier -> files that would merge *)
 }
 
-val compact :
-  ?io:Sbi_fault.Io.t -> ?tier_max:int -> ?remove_old:bool -> dir:string -> unit -> compact_stats
-(** Run compaction to quiescence (no overfull tier).  With
-    [remove_old:false] the obsolete input files are left on disk and
-    returned in [cp_reclaimed] — a live server deletes them only after
-    draining readers off the old epoch.  @raise Format_error when the
-    manifest is unusable or a to-be-merged segment is corrupt (run
-    {!repair} first). *)
+val compact : ?io:Sbi_fault.Io.t -> ?tier_max:int -> dir:string -> unit -> compact_stats
+(** Run compaction to quiescence (no overfull tier), deleting the
+    merged-away input files after the last manifest write.
+    @raise Format_error when the manifest is unusable or a to-be-merged
+    segment is corrupt (run {!repair} first). *)
 
 val compact_plan : ?tier_max:int -> dir:string -> unit -> compact_plan
 (** What {!compact} would do, without writing — `cbi compact --dry-run`. *)
@@ -200,7 +202,7 @@ type fsck_report = {
 
 val fsck : dir:string -> fsck_report
 (** Validate every manifest-listed segment: existence, CRC, structure,
-    table sizes against meta, manifest run counts, and — for v2 files —
+    format version, table sizes against meta, manifest run counts, and
     the footer path {!open_} actually takes.  Corrupt segments are
     reported, not fatal — mirroring {!open_}.  @raise Format_error when
     meta or the manifest itself is unusable. *)

@@ -4,10 +4,10 @@ module Segment = Sbi_store.Segment
 module Lru = Sbi_store.Lru
 
 (* A segment reference: the snapshot/triage layers' uniform handle over a
-   fully decoded in-memory segment (live tail, legacy v1 files) or a
-   lazily loaded v2 file opened from its footer alone.  Disk postings are
-   materialized as compressed {!Rbitmap}s through a shared LRU cache, so
-   resident memory is bounded by the cache budget, not the index size.
+   fully decoded in-memory segment (the live tail) or a segment file read
+   lazily through its one mapping.  Disk postings are materialized as
+   compressed {!Rbitmap}s through a shared LRU cache, so resident memory
+   is bounded by the cache budget, not the index size.
 
    Memo fields are racy on purpose: values are immutable once built, an
    OCaml pointer store is atomic, and duplicated conversion work between
@@ -15,7 +15,7 @@ module Lru = Sbi_store.Lru
 
 type cache = (string * bool * int, Rbitmap.t) Lru.t
 
-let create_cache ?budget () = Lru.create ?budget ~cost:Rbitmap.memory_words ()
+let create_cache () = Lru.create ~cost:Rbitmap.memory_words ()
 
 type mem = {
   m_seg : Segment.t;
@@ -25,7 +25,7 @@ type mem = {
 
 type disk = {
   d_path : string;
-  d_io : Sbi_fault.Io.t;
+  d_map : Segment.mapping;
   d_footer : Segment.footer;
   d_cache : cache;
   mutable d_failing : Bitset.t option;
@@ -49,12 +49,12 @@ let of_segment ~file (seg : Segment.t) =
         };
   }
 
-let of_disk ?(io = Sbi_fault.Io.none) ~cache ~path ~file (ft : Segment.footer) =
+let of_disk ~cache ~path ~file map (ft : Segment.footer) =
   {
     sr_file = file;
     sr_nruns = ft.Segment.ft_nruns;
     sr_num_f = ft.Segment.ft_num_f;
-    source = Disk { d_path = path; d_io = io; d_footer = ft; d_cache = cache; d_failing = None };
+    source = Disk { d_path = path; d_map = map; d_footer = ft; d_cache = cache; d_failing = None };
   }
 
 let file t = t.sr_file
@@ -68,7 +68,7 @@ let failing t =
       match d.d_failing with
       | Some b -> b
       | None ->
-          let b = Segment.read_failing ~io:d.d_io d.d_path d.d_footer in
+          let b = Segment.read_failing d.d_map d.d_footer in
           d.d_failing <- Some b;
           b)
 
@@ -84,7 +84,7 @@ let disk_bits d kind i =
   let is_pred = kind = `Pred in
   Lru.find_or_add d.d_cache (d.d_path, is_pred, i) (fun () ->
       Rbitmap.of_positions d.d_footer.Segment.ft_nruns
-        (Segment.read_posting ~io:d.d_io d.d_path d.d_footer kind i))
+        (Segment.read_posting d.d_map d.d_footer kind i))
 
 let pred_bits t i =
   match t.source with
@@ -95,8 +95,3 @@ let site_bits t i =
   match t.source with
   | Mem m -> memo_bits m.m_site_r m.m_seg.Segment.site_obs t.sr_nruns i
   | Disk d -> disk_bits d `Site i
-
-let aggregator ~pred_site t =
-  match t.source with
-  | Mem m -> Segment.aggregator ~pred_site m.m_seg
-  | Disk d -> Segment.footer_aggregator ~pred_site d.d_footer

@@ -1,25 +1,31 @@
 (** Uniform segment handle for the read path: an in-memory
-    {!Sbi_store.Segment.t} (live tail, legacy v1 files) or a lazily
-    loaded v2 segment opened from its footer.
+    {!Sbi_store.Segment.t} (the live tail) or a lazily read segment file,
+    mapped once and opened from its footer.
 
-    Disk-backed postings materialize on first touch as compressed
-    {!Sbi_store.Rbitmap}s through a shared LRU {!cache}, so an index far
-    larger than RAM serves triage queries in bounded memory; in-memory
-    segments memoize their conversions per reference.  All accessors are
-    safe to call from multiple domains: memoization races are benign
-    (immutable values, atomic pointer stores, last writer wins). *)
+    A disk handle holds the file's one {!Sbi_store.Segment.mapping}, so it
+    keeps answering after compaction unlinks the file, for as long as a
+    snapshot references it; the GC unmaps the file with the last
+    reference.  Disk-backed postings materialize on first touch as
+    compressed {!Sbi_store.Rbitmap}s through a shared LRU {!cache}, so an
+    index far larger than RAM serves triage queries in bounded memory;
+    in-memory segments memoize their conversions per reference.  All
+    accessors are safe to call from multiple domains: memoization races
+    are benign (immutable values, atomic pointer stores, last writer
+    wins). *)
 
 type cache = (string * bool * int, Sbi_store.Rbitmap.t) Sbi_store.Lru.t
 (** Keyed by (segment path, is-predicate, posting id). *)
 
-val create_cache : ?budget:int -> unit -> cache
-(** [budget] in heap words ({!Sbi_store.Rbitmap.memory_words}); default
-    [2^22] (~32 MB). *)
+val create_cache : unit -> cache
+(** A cache with {!Sbi_store.Lru}'s default budget: [2^22] heap words
+    ({!Sbi_store.Rbitmap.memory_words}), ~32 MB. *)
 
 type t
 
 val of_segment : file:string -> Sbi_store.Segment.t -> t
-val of_disk : ?io:Sbi_fault.Io.t -> cache:cache -> path:string -> file:string -> Sbi_store.Segment.footer -> t
+
+val of_disk :
+  cache:cache -> path:string -> file:string -> Sbi_store.Segment.mapping -> Sbi_store.Segment.footer -> t
 
 val file : t -> string
 val nruns : t -> int
@@ -31,8 +37,3 @@ val failing : t -> Sbi_store.Bitset.t
 
 val pred_bits : t -> int -> Sbi_store.Rbitmap.t
 val site_bits : t -> int -> Sbi_store.Rbitmap.t
-
-val aggregator : pred_site:int array -> t -> Sbi_ingest.Aggregator.t
-(** The segment's §3.1 partial aggregate; footer statistics alone for
-    disk segments (no posting reads).
-    @raise Sbi_store.Segment.Corrupt on inconsistent footer counters. *)

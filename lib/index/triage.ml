@@ -207,5 +207,5 @@ let analyze ?discard ?max_selections (idx : Index.t) =
   let snap = Index.snapshot idx in
   let cts = Snapshot.counts snap in
   let retained = Prune.retained cts in
-  let elimination = Snap.eliminate ?discard ?max_selections ~candidates:retained snap in
+  let elimination = Snap.eliminate ?discard ?max_selections snap in
   { counts = cts; retained; elimination }

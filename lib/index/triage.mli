@@ -82,8 +82,8 @@ type analysis = {
 
 val analyze : ?discard:Sbi_core.Eliminate.discard -> ?max_selections:int -> Index.t -> analysis
 (** {!Sbi_core.Analysis.analyze} over the index: the retained set of the
-    snapshot's aggregate, then {!eliminate} from it — identical retained
-    set, selection order, and scores. *)
+    snapshot's aggregate, then {!eliminate} with §5's candidate seeding —
+    identical retained set, selection order, and scores. *)
 
 (** Same queries against a caller-held snapshot: the server's epoch
     read path grabs the current snapshot under its write lock, releases

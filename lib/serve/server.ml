@@ -54,10 +54,9 @@ type t = {
   listen_fd : Unix.file_descr;
   mutable ev : Evloop.t option;  (* set by [start] once the loops run *)
   stop_flag : bool Atomic.t;
-  writer : Shard_log.writer option;
+  writer : (Shard_log.writer * string) option;  (* the ingest shard and its path *)
   gc : Group_commit.t option;  (* present iff fsync ∧ group_commit_ms > 0 ∧ writer *)
   started_at : float;
-  inflight : int Atomic.t;  (* requests inside dispatch (may read old segments) *)
   mutable ingested_n : int;
   mutable compactions : int;
   mutable compact_thread : Thread.t option;
@@ -301,7 +300,7 @@ let publish_batch t accepted =
 let run_ingest t items =
   match t.writer with
   | None -> Error "ingest disabled (no --log configured)"
-  | Some w -> (
+  | Some (w, _) -> (
       let outcomes, accepted = locked t.lock (fun () -> append_batch t w items) in
       match commit_batch t w (List.length accepted) with
       | Ok () ->
@@ -391,19 +390,14 @@ let dispatch t line =
             ingest ingest-batch quit)"
            cmd)
 
-(* One parsed request through dispatch: the inflight bracket
-   (compaction's segment reclamation waits on a drain), the trace span,
-   and per-request fault isolation. *)
+(* One parsed request through dispatch: the trace span and per-request
+   fault isolation. *)
 let eval_request t ~cmd (req : Evloop.request) =
-  Atomic.incr t.inflight;
   try
-    Fun.protect
-      ~finally:(fun () -> Atomic.decr t.inflight)
-      (fun () ->
-        Sbi_obs.Trace.with_span ~name:("serve." ^ cmd) (fun () ->
-            match req with
-            | Evloop.Line line -> dispatch t line
-            | Evloop.Batch payloads -> handle_ingest_batch t payloads))
+    Sbi_obs.Trace.with_span ~name:("serve." ^ cmd) (fun () ->
+        match req with
+        | Evloop.Line line -> dispatch t line
+        | Evloop.Batch payloads -> handle_ingest_batch t payloads)
   with
   | Sbi_fault.Fault.Crash _ as e -> raise e
   | e ->
@@ -453,40 +447,28 @@ let handle t (req : Evloop.request) : Evloop.response =
 (* --- background compaction ---
 
    Durable-before-visible is preserved across an index swap: compaction
-   only rewrites already-indexed segments (never the source log), and the
-   live tail is replayed into the fresh index under t.lock before the
-   swap, so no acknowledged report ever leaves the queryable population.
-   Old segment files are deleted only after in-flight requests drain —
-   a reader's snapshot may still page postings out of them. *)
+   only rewrites already-indexed segments (never the source log), and
+   the fresh index takes over the live tail by reference under t.lock,
+   so no acknowledged report ever leaves the queryable population.
+   [Index.compact] deletes the merged-away files at once: the old index
+   and every snapshot of it read them through their mappings, which the
+   GC releases with the last of them. *)
 
 let compact_once t =
   let dir = t.index.Index.dir in
   match
-    Index.compact ~io:t.config.io ~tier_max:t.config.tier_max ~remove_old:false ~dir ()
+    let st = Index.compact ~io:t.config.io ~tier_max:t.config.tier_max ~dir () in
+    if st.Index.cp_written > 0 then Some (Index.open_ ~dir) else None
   with
   | exception e ->
       Metrics.fault t.metrics ~kind:"compact";
       Sbi_obs.Trace.with_span ~name:"serve.compact.error" ~args:(Printexc.to_string e)
         (fun () -> ())
-  | st ->
-      if st.Index.cp_written > 0 then begin
-        let fresh = Index.open_ ~dir in
-        locked t.lock (fun () ->
-            Array.iter (Index.append fresh) (Index.tail_reports t.index);
-            t.index <- fresh;
-            t.compactions <- t.compactions + 1);
-        (* drain readers pinned to the old epoch before reclaiming files;
-           the deadline bounds the wait against a wedged connection.
-           Monotonic: a wall-clock step must not collapse (or stretch)
-           the 2 s drain bound *)
-        let deadline = Sbi_obs.Clock.now_ns () + 2_000_000_000 in
-        while Atomic.get t.inflight > 0 && Sbi_obs.Clock.now_ns () < deadline do
-          Thread.delay 0.01
-        done;
-        List.iter
-          (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-          st.Index.cp_reclaimed
-      end
+  | None -> ()
+  | Some fresh ->
+      locked t.lock (fun () ->
+          t.index <- Index.with_tail_of fresh ~from:t.index;
+          t.compactions <- t.compactions + 1)
 
 let compact_loop t period =
   (* monotonic scheduling: an NTP step must not fire (or starve) the
@@ -514,9 +496,17 @@ let open_ingest_writer config (index : Index.t) =
   | Some dir ->
       if not (Sys.file_exists (Filename.concat dir "meta")) then
         Shard_log.write_meta ~io:config.io ~dir index.Index.meta;
+      let shard = fresh_shard_id ~dir in
       Some
-        (Shard_log.create_writer ~io:config.io ~fsync:config.fsync ~dir
-           ~shard:(fresh_shard_id ~dir) ())
+        ( Shard_log.create_writer ~io:config.io ~fsync:config.fsync ~dir ~shard (),
+          Shard_log.shard_path ~dir shard )
+
+(* A shard that took no record is a bare header: remove it rather than
+   leave one behind per server start.  No manifest's consumed offsets
+   ever name such a shard, so nothing refers to it. *)
+let close_ingest_writer (w, path) =
+  if (Shard_log.close_writer w).Shard_log.records = 0 then
+    try Sys.remove path with Sys_error _ -> ()
 
 (* The one listener, on every transport.  The deep backlog absorbs
    connection storms between accept bursts. *)
@@ -558,7 +548,7 @@ let start config index =
   match
     writer := open_ingest_writer config index;
     (match !writer with
-    | Some w when config.fsync && config.group_commit_ms > 0. ->
+    | Some (w, _) when config.fsync && config.group_commit_ms > 0. ->
         gc :=
           Some
             (Group_commit.create ~max_batch:config.max_batch
@@ -578,7 +568,6 @@ let start config index =
         writer = !writer;
         gc = !gc;
         started_at = Unix.gettimeofday ();
-        inflight = Atomic.make 0;
         ingested_n = 0;
         compactions = 0;
         compact_thread = None;
@@ -612,9 +601,7 @@ let start config index =
   | exception e ->
       (match !ev with Some g -> ( try Evloop.stop g with _ -> ()) | None -> ());
       (match !gc with Some g -> ( try Group_commit.stop g with _ -> ()) | None -> ());
-      (match !writer with
-      | Some w -> ( try ignore (Shard_log.close_writer w) with _ -> ())
-      | None -> ());
+      (match !writer with Some w -> ( try close_ingest_writer w with _ -> ()) | None -> ());
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       (match config.addr with
       | Wire.Unix_sock path when Sys.file_exists path -> (
@@ -636,8 +623,7 @@ let stop t =
        the coordinator (flushing any pending window) before the writer
        closes underneath it *)
     (match t.gc with Some gc -> Group_commit.stop gc | None -> ());
-    locked t.lock (fun () ->
-        match t.writer with Some w -> ignore (Shard_log.close_writer w) | None -> ());
+    locked t.lock (fun () -> Option.iter close_ingest_writer t.writer);
     match t.config.addr with
     | Wire.Unix_sock path when Sys.file_exists path -> ( try Sys.remove path with Sys_error _ -> ())
     | _ -> ()

@@ -66,11 +66,11 @@ type config = {
   compact_every : float option;
       (** background compaction period in seconds; [None] (the default)
           disables the maintenance thread.  Each cycle runs
-          {!Sbi_index.Index.compact} on the index directory; when segments
-          were merged, the index is reopened, the live ingest tail is
-          replayed into it, and the server atomically swaps to the fresh
-          index under its lock — queries in flight keep reading the old
-          segment files, which are deleted only after they drain. *)
+          {!Sbi_index.Index.compact} on the index directory, which deletes
+          the merged-away files; when segments were merged, the index is
+          reopened and the server swaps to it under its lock, carrying
+          the live ingest tail over by reference.  Queries in flight keep
+          reading the deleted files through the old index's mappings. *)
   tier_max : int;
       (** tier fan-in passed to {!Sbi_index.Index.compact}
           ({!Sbi_store.Tier.default_tier_max} by default) *)
@@ -111,7 +111,8 @@ val max_batch_lines : int
 
 val start : config -> Sbi_index.Index.t -> t
 (** Bind, listen, and spawn the event loops.  When [ingest_log] is set,
-    opens a writer on a fresh shard (max existing shard + 1).
+    opens a writer on a fresh shard (max existing shard + 1), which
+    {!stop} removes again if it took no report.
     @raise Unix.Unix_error when the address cannot be bound.
     @raise Invalid_argument when the address does not resolve, or
     [acceptors < 1] or [max_conns < 1]. *)
@@ -121,7 +122,8 @@ val addr : t -> Wire.addr
 val stop : t -> unit
 (** Graceful shutdown; idempotent.  Returns once every loop and
     dispatch worker has exited and the ingest writer (if any) is
-    closed. *)
+    closed — and its shard file removed when no report was appended to
+    it. *)
 
 val ingested : t -> int
 (** Reports accepted over the wire since {!start}. *)

@@ -1,6 +1,5 @@
 open Sbi_runtime
 open Sbi_ingest
-module Io = Sbi_fault.Io
 
 exception Corrupt of string
 
@@ -196,7 +195,7 @@ let parse_bitmap s off nruns =
   failing
 
 (* Bare delta sequence, no count prefix: lengths and counts live in the
-   footer directory for v2, or in the v1 per-posting prefix. *)
+   footer directory. *)
 let add_deltas buf posting =
   let prev = ref 0 in
   Array.iteri
@@ -270,30 +269,6 @@ let encode t =
   add_le buf 4
     (Sbi_util.Crc32.sub with_trailer ~pos:(String.length magic)
        ~len:(String.length with_trailer - String.length magic));
-  Buffer.contents buf
-
-let encode_v1 t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Codec.add_varint buf 1;
-  Codec.add_varint buf t.source_shard;
-  Codec.add_varint buf t.start_off;
-  Codec.add_varint buf t.end_off;
-  Codec.add_varint buf t.nsites;
-  Codec.add_varint buf t.npreds;
-  Codec.add_varint buf t.nruns;
-  Array.iter (Codec.add_varint buf) t.run_ids;
-  add_bitmap buf t.failing t.nruns;
-  let add_posting posting =
-    Codec.add_varint buf (Array.length posting);
-    add_deltas buf posting
-  in
-  Array.iter add_posting t.site_obs;
-  Array.iter add_posting t.pred_true;
-  let body = Buffer.contents buf in
-  add_le buf 4
-    (Sbi_util.Crc32.sub body ~pos:(String.length magic)
-       ~len:(String.length body - String.length magic));
   Buffer.contents buf
 
 (* --- footer --- *)
@@ -397,15 +372,10 @@ let footer_aggregator ~pred_site ft =
 
 (* --- decoding --- *)
 
-let read_posting_v1 s pos limit ~nruns =
-  let len = Codec.read_varint s pos limit in
-  if len > nruns then raise (Corrupt "posting longer than run count");
-  read_deltas s pos limit ~count:len ~nruns
-
 let parse_header s pos limit =
   let rd () = Codec.read_varint s pos limit in
   let version = rd () in
-  if version < 1 || version > format_version then
+  if version <> format_version then
     raise (Corrupt (Printf.sprintf "unsupported segment version %d" version));
   let source_shard = rd () in
   let start_off = rd () in
@@ -428,109 +398,102 @@ let decode s =
   let pos = ref (String.length magic) in
   try
     let header = parse_header s pos body_len in
-    let version, source_shard, start_off, end_off, nsites, npreds, nruns = header in
-    if version = 1 then begin
-      let run_ids = Array.init nruns (fun _ -> Codec.read_varint s pos body_len) in
-      let nbytes = bitmap_bytes nruns in
-      if !pos + nbytes > body_len then raise (Corrupt "truncated outcome bitmap");
-      let failing = parse_bitmap s !pos nruns in
-      pos := !pos + nbytes;
-      let site_obs = Array.init nsites (fun _ -> read_posting_v1 s pos body_len ~nruns) in
-      let pred_true = Array.init npreds (fun _ -> read_posting_v1 s pos body_len ~nruns) in
-      if !pos <> body_len then raise (Corrupt "trailing bytes in segment body");
-      { source_shard; start_off; end_off; nsites; npreds; nruns; run_ids; failing; site_obs; pred_true }
-    end
-    else begin
-      if n < trailer_len + String.length magic then raise (Corrupt "segment too small");
-      let footer_off = read_le s (n - trailer_len) 8 in
-      if footer_off < !pos || footer_off > n - trailer_len then
-        raise (Corrupt "footer offset out of bounds");
-      let ft =
-        parse_footer s ~base:footer_off ~len:(n - trailer_len - footer_off) ~header ~size:n
-      in
-      if ft.ft_run_ids_off <> !pos then raise (Corrupt "header/footer offset mismatch");
-      pos := ft.ft_run_ids_off;
-      let run_ids = Array.init nruns (fun _ -> Codec.read_varint s pos ft.ft_bitmap_off) in
-      if !pos <> ft.ft_bitmap_off then raise (Corrupt "run-id section size mismatch");
-      let failing = parse_bitmap s ft.ft_bitmap_off nruns in
-      if Bitset.count failing <> ft.ft_num_f then
-        raise (Corrupt "footer num_f disagrees with outcome bitmap");
-      let load (off, blen, count) =
-        let p = ref off in
-        let posting = read_deltas s p (off + blen) ~count ~nruns in
-        if !p <> off + blen then raise (Corrupt "posting byte length mismatch");
-        posting
-      in
-      let site_obs = Array.map load ft.ft_site_dir in
-      let pred_true = Array.map load ft.ft_pred_dir in
-      { source_shard; start_off; end_off; nsites; npreds; nruns; run_ids; failing; site_obs; pred_true }
-    end
+    let _, source_shard, start_off, end_off, nsites, npreds, nruns = header in
+    if n < trailer_len + String.length magic then raise (Corrupt "segment too small");
+    let footer_off = read_le s (n - trailer_len) 8 in
+    if footer_off < !pos || footer_off > n - trailer_len then
+      raise (Corrupt "footer offset out of bounds");
+    let ft = parse_footer s ~base:footer_off ~len:(n - trailer_len - footer_off) ~header ~size:n in
+    if ft.ft_run_ids_off <> !pos then raise (Corrupt "header/footer offset mismatch");
+    let run_ids = Array.init nruns (fun _ -> Codec.read_varint s pos ft.ft_bitmap_off) in
+    if !pos <> ft.ft_bitmap_off then raise (Corrupt "run-id section size mismatch");
+    let failing = parse_bitmap s ft.ft_bitmap_off nruns in
+    if Bitset.count failing <> ft.ft_num_f then
+      raise (Corrupt "footer num_f disagrees with outcome bitmap");
+    let load (off, blen, count) =
+      let p = ref off in
+      let posting = read_deltas s p (off + blen) ~count ~nruns in
+      if !p <> off + blen then raise (Corrupt "posting byte length mismatch");
+      posting
+    in
+    let site_obs = Array.map load ft.ft_site_dir in
+    let pred_true = Array.map load ft.ft_pred_dir in
+    { source_shard; start_off; end_off; nsites; npreds; nruns; run_ids; failing; site_obs; pred_true }
   with Codec.Corrupt m -> raise (Corrupt m)
 
-(* --- lazy disk access (v2 only) --- *)
+let load path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> decode s
+  | exception Sys_error m -> raise (Corrupt m)
 
-let wrap_io f =
-  try f () with
-  | Codec.Corrupt m -> raise (Corrupt m)
-  | End_of_file -> raise (Corrupt "short read")
+(* --- lazy access through one mapping ---
 
-let read_footer ?io path =
-  wrap_io (fun () ->
-      let size = Io.file_size path in
+   A segment file is mapped whole, once, and its descriptor closed at
+   once.  Every later read is a copy of a slice of that mapping, so the
+   bytes stay readable after the file is unlinked, until the GC collects
+   the last value holding the mapping.  The mapping is private and
+   read-only in use: a segment file is never modified in place. *)
+
+type mapping = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let map path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> raise (Corrupt "missing file")
+  | exception Unix.Unix_error (e, _, _) -> raise (Corrupt ("cannot open: " ^ Unix.error_message e))
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          try
+            Bigarray.array1_of_genarray
+              (Unix.map_file fd Bigarray.char Bigarray.c_layout false [| -1 |])
+          with Unix.Unix_error (e, _, _) -> raise (Corrupt ("cannot map: " ^ Unix.error_message e)))
+
+let slice (m : mapping) ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bigarray.Array1.dim m then raise (Corrupt "short read");
+  let b = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get m (pos + i))
+  done;
+  Bytes.unsafe_to_string b
+
+let wrap_codec f = try f () with Codec.Corrupt m -> raise (Corrupt m)
+
+let read_footer m =
+  wrap_codec (fun () ->
+      let size = Bigarray.Array1.dim m in
       if size < String.length magic + trailer_len then raise (Corrupt "segment too small");
       let head_len = min size 128 in
-      let head = Io.read_sub ?io path ~pos:0 ~len:head_len in
-      if String.length head < head_len then raise (Corrupt "short read");
+      let head = slice m ~pos:0 ~len:head_len in
       if String.sub head 0 (String.length magic) <> magic then raise (Corrupt "bad magic");
       let pos = ref (String.length magic) in
       let header = parse_header head pos head_len in
-      let version, _, _, _, _, _, _ = header in
-      if version = 1 then None
-      else begin
-        let trailer = Io.read_sub ?io path ~pos:(size - trailer_len) ~len:trailer_len in
-        if String.length trailer < trailer_len then raise (Corrupt "short read");
-        let footer_off = read_le trailer 0 8 in
-        let footer_crc = read_le trailer 8 4 in
-        if footer_off < !pos || footer_off > size - trailer_len then
-          raise (Corrupt "footer offset out of bounds");
-        let flen = size - trailer_len - footer_off in
-        let fbytes = Io.read_sub ?io path ~pos:footer_off ~len:flen in
-        if String.length fbytes < flen then raise (Corrupt "short read");
-        if Sbi_util.Crc32.string fbytes <> footer_crc then raise (Corrupt "footer CRC mismatch");
-        Some (parse_footer fbytes ~base:0 ~len:flen ~header ~size)
-      end)
+      let trailer = slice m ~pos:(size - trailer_len) ~len:trailer_len in
+      let footer_off = read_le trailer 0 8 in
+      let footer_crc = read_le trailer 8 4 in
+      if footer_off < !pos || footer_off > size - trailer_len then
+        raise (Corrupt "footer offset out of bounds");
+      let flen = size - trailer_len - footer_off in
+      let fbytes = slice m ~pos:footer_off ~len:flen in
+      if Sbi_util.Crc32.string fbytes <> footer_crc then raise (Corrupt "footer CRC mismatch");
+      parse_footer fbytes ~base:0 ~len:flen ~header ~size)
 
-let read_failing ?io path ft =
-  wrap_io (fun () ->
-      let nbytes = bitmap_bytes ft.ft_nruns in
-      let s = Io.read_sub ?io path ~pos:ft.ft_bitmap_off ~len:nbytes in
-      if String.length s < nbytes then raise (Corrupt "short read");
-      parse_bitmap s 0 ft.ft_nruns)
+let read_failing m ft =
+  parse_bitmap (slice m ~pos:ft.ft_bitmap_off ~len:(bitmap_bytes ft.ft_nruns)) 0 ft.ft_nruns
 
-let read_posting ?io path ft kind i =
-  wrap_io (fun () ->
+let read_posting m ft kind i =
+  wrap_codec (fun () ->
       let dir = match kind with `Site -> ft.ft_site_dir | `Pred -> ft.ft_pred_dir in
       if i < 0 || i >= Array.length dir then invalid_arg "Segment.read_posting";
       let off, blen, count = dir.(i) in
-      (* an empty posting is answered from the directory alone, with no
-         file I/O; one that still claims bytes is a length mismatch *)
+      (* an empty posting is answered from the directory alone; one that
+         still claims bytes is a length mismatch *)
       if count = 0 then
         if blen = 0 then [||] else raise (Corrupt "posting byte length mismatch")
       else begin
-        let s = Io.read_sub ?io path ~pos:off ~len:blen in
-        if String.length s < blen then raise (Corrupt "short read");
+        let s = slice m ~pos:off ~len:blen in
         let pos = ref 0 in
         let posting = read_deltas s pos blen ~count ~nruns:ft.ft_nruns in
         if !pos <> blen then raise (Corrupt "posting byte length mismatch");
         posting
       end)
-
-let read_run_ids ?io path ft =
-  wrap_io (fun () ->
-      let blen = ft.ft_bitmap_off - ft.ft_run_ids_off in
-      let s = Io.read_sub ?io path ~pos:ft.ft_run_ids_off ~len:blen in
-      if String.length s < blen then raise (Corrupt "short read");
-      let pos = ref 0 in
-      let run_ids = Array.init ft.ft_nruns (fun _ -> Codec.read_varint s pos blen) in
-      if !pos <> blen then raise (Corrupt "run-id section size mismatch");
-      run_ids)

@@ -9,18 +9,19 @@
     delta-encode to roughly one byte per entry with {!Sbi_ingest.Codec}
     varints; the run-id array maps positions back to global run ids.
 
-    {b Format v2} (written by {!encode}) appends a footer after the
-    posting heap: the segment's §3.1 failure splits (num_f, per-predicate
-    and per-site failing counts) and a posting directory (count + byte
-    length per list), then a fixed 16-byte trailer [footer offset (8 LE) |
-    footer CRC-32 (4 LE) | file CRC-32 (4 LE)].  A reader can therefore
-    open a segment with three small reads — header, trailer, footer —
-    and fetch individual postings on demand ({!read_footer},
-    {!read_posting}); the tiered index uses this to keep million-run
+    {b Format} (version 2, written by {!encode}, the only version read):
+    header, run ids, outcome bitmap and posting heap, then a footer
+    carrying the segment's §3.1 failure splits (num_f, per-predicate and
+    per-site failing counts) and a posting directory (count + byte
+    length per list), then a fixed 16-byte trailer [footer offset (8 LE)
+    | footer CRC-32 (4 LE) | file CRC-32 (4 LE)].  A reader maps the
+    file once ({!map}) and reads the header, trailer and footer from the
+    mapping ({!read_footer}), then single postings on demand
+    ({!read_posting}); the tiered index uses this to keep million-run
     indexes out of memory.  The trailing file CRC covers every byte
-    between the magic and itself, exactly as in format v1, so a damaged
-    segment is still detected as a unit by {!decode}.  {!decode} accepts
-    both versions; {!encode_v1} remains for compatibility tests. *)
+    between the magic and itself, so a damaged segment is still
+    detected as a unit by {!decode}.  This module is the only one that
+    reads segment bytes. *)
 
 exception Corrupt of string
 
@@ -80,21 +81,35 @@ val concat_n : load:(int -> t) -> int -> t
 val encode : t -> string
 (** Serialize in format v2 (footer + trailer). *)
 
-val encode_v1 : t -> string
-(** Serialize in the legacy footerless format (still decodable). *)
-
 val decode : string -> t
-(** Full verifying decode of either format.
-    @raise Corrupt on bad magic/version, CRC mismatch, or any structural
-    violation (positions out of range or non-increasing, footer
-    inconsistent with the body). *)
+(** Full verifying decode.
+    @raise Corrupt on bad magic, a version other than {!format_version},
+    CRC mismatch, or any structural violation (positions out of range or
+    non-increasing, footer inconsistent with the body). *)
 
-(** {1 Lazy access (v2)}
+val load : string -> t
+(** [decode] of the file at a path (compaction, fsck, repair).
+    @raise Corrupt as {!decode}, or when the file cannot be read. *)
 
-    These read only the bytes they need via {!Sbi_fault.Io.read_sub};
-    they never load the posting heap wholesale.  All raise {!Corrupt} on
-    structural damage in the bytes they do read — whole-file integrity
-    checking stays with {!decode} (used by fsck). *)
+(** {1 Lazy access}
+
+    A segment file is mapped whole and once ({!map}); the readers below
+    copy only the bytes they need out of that mapping and never load the
+    posting heap wholesale.  All raise {!Corrupt} on structural damage
+    in the bytes they do read — whole-file integrity checking stays with
+    {!decode} (used by fsck). *)
+
+type mapping
+(** A segment file mapped read-only.  Its descriptor is closed as soon
+    as the mapping exists, so the bytes stay readable after the file is
+    unlinked, until the GC collects the last value that holds the
+    mapping.  Truncating or rewriting a mapped file in place would fault
+    its readers; segment files are only ever created by rename and
+    later unlinked. *)
+
+val map : string -> mapping
+(** @raise Corrupt ["missing file"] when the file does not exist, and
+    [Corrupt] when it cannot be opened or mapped. *)
 
 type footer = {
   ft_version : int;
@@ -115,22 +130,20 @@ type footer = {
   ft_size : int;  (** file size in bytes *)
 }
 
-val read_footer : ?io:Sbi_fault.Io.t -> string -> footer option
-(** Open a segment file lazily: header + trailer + CRC-checked footer,
-    three reads totalling a few hundred bytes plus the footer.  [None]
-    means the file is a valid-looking v1 segment — the caller must fall
-    back to a full {!decode}.  @raise Corrupt on damage. *)
+val read_footer : mapping -> footer
+(** Header + trailer + CRC-checked footer: a few hundred bytes plus the
+    footer.  @raise Corrupt on damage, on a file too small to hold a
+    trailer, and on a version other than {!format_version}. *)
 
 val footer_aggregator : pred_site:int array -> footer -> Sbi_ingest.Aggregator.t
 (** The segment's §3.1 partial aggregate reconstructed from footer
     statistics alone: successes are posting counts minus failing counts.
     Equal to [aggregator ~pred_site (decode file)]. *)
 
-val read_failing : ?io:Sbi_fault.Io.t -> string -> footer -> Bitset.t
-val read_posting : ?io:Sbi_fault.Io.t -> string -> footer -> [ `Site | `Pred ] -> int -> int array
+val read_failing : mapping -> footer -> Bitset.t
+
+val read_posting : mapping -> footer -> [ `Site | `Pred ] -> int -> int array
 (** One posting's sorted run positions.  An empty posting (directory
-    count 0) comes from the footer alone, without touching the file.
+    count 0) comes from the footer alone.
     @raise Corrupt on damage, including a count-0 entry that claims
     bytes. *)
-
-val read_run_ids : ?io:Sbi_fault.Io.t -> string -> footer -> int array

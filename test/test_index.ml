@@ -804,7 +804,7 @@ let test_compact_reduces_and_preserves () =
       Alcotest.(check bool) "rounds ran" true (stats.Index.cp_rounds >= 1);
       Alcotest.(check bool) "live bytes shrink" true
         (stats.Index.cp_bytes_after <= stats.Index.cp_bytes_before);
-      (* default remove_old deletes the merged-away inputs *)
+      (* compaction deletes the merged-away inputs *)
       List.iter
         (fun f ->
           if Sys.file_exists (Filename.concat idx_dir f) then
@@ -822,6 +822,56 @@ let test_compact_reduces_and_preserves () =
       Alcotest.(check int) "fsck clean" 0 after.Index.fsck_corrupt;
       Alcotest.(check int) "fsck records" total after.Index.fsck_records;
       Alcotest.(check bool) "no dead files" true (after.Index.fsck_dead_files = []))
+
+(* A snapshot taken before compaction keeps answering after compaction
+   deletes the files it reads: its segments are mapped, not reopened by
+   path.  Nothing touches a posting before the deletion, so every bitmap
+   below is first read from an unlinked file; each answer must equal the
+   compacted index's bit for bit. *)
+let test_snapshot_survives_compaction () =
+  with_temp_dir (fun tmp ->
+      let log = Filename.concat tmp "log" in
+      let idx_dir = Filename.concat tmp "idx" in
+      let st = Random.State.make [| 26 |] in
+      ignore (build_waves ~log ~idx_dir ~st ~waves:6 ~per_wave:15);
+      let held = Index.snapshot (Index.open_ ~dir:idx_dir) in
+      let stats = Index.compact ~tier_max:2 ~dir:idx_dir () in
+      Alcotest.(check bool) "files were merged away" true (stats.Index.cp_reclaimed <> []);
+      List.iter
+        (fun f ->
+          if Sys.file_exists (Filename.concat idx_dir f) then
+            Alcotest.failf "reclaimed file %s still present" f)
+        stats.Index.cp_reclaimed;
+      Gc.full_major ();
+      let compacted = Index.snapshot (Index.open_ ~dir:idx_dir) in
+      let both f = (f held, f compacted) in
+      let same what (a, b) = Alcotest.(check bool) what true (a = b) in
+      same "topk" (both (fun s -> List.map score_bits (Triage.Snap.topk ~k:npreds s)));
+      List.iter
+        (fun p ->
+          same
+            (Printf.sprintf "affinity of %d" p)
+            (both (fun s -> affinity_bits (Triage.Snap.affinity s ~selected:p ~others:all_preds))))
+        all_preds;
+      List.iter
+        (fun discard ->
+          same
+            (Sbi_core.Eliminate.discard_to_string discard)
+            (both (fun s -> elimination_bits (Triage.Snap.eliminate ~discard s))))
+        [
+          Sbi_core.Eliminate.Discard_all_true;
+          Sbi_core.Eliminate.Discard_failing_true;
+          Sbi_core.Eliminate.Relabel_failing;
+        ];
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              same
+                (Printf.sprintf "cooccurrence %d %d" a b)
+                (both (fun s -> Triage.Snap.cooccurrence s ~a ~b)))
+            all_preds)
+        all_preds)
 
 let test_compact_plan_is_dry () =
   with_temp_dir (fun tmp ->
@@ -941,6 +991,115 @@ let test_append_rejects_unsorted_ids () =
       Index.append idx (mk_report ~outcome:Report.Failure ~sites:[| 0; 1 |] ~preds:[| 0; 2 |] 6);
       Alcotest.(check int) "a sorted report is accepted" 1 (Index.tail_count idx))
 
+(* One §5 seeding rule: under every discard proposal, Analysis.analyze,
+   Eliminate.run and the index's Triage.analyze run the same elimination.
+   The first world is §5's P/¬P case — P (pred 0) and ¬P (pred 1)
+   predict different bugs and ¬P starts pruned — where proposal 3 must
+   select both; the others are random corpora. *)
+let test_seeding_rule_agrees () =
+  let complementary =
+    Array.concat
+      [
+        Array.init 300 (fun i -> mk_report ~outcome:Report.Failure ~sites:[| 0 |] ~preds:[| 0 |] i);
+        Array.init 40 (fun i ->
+            mk_report ~outcome:Report.Failure ~sites:[| 0 |] ~preds:[| 1 |] (300 + i));
+        Array.init 30 (fun i -> mk_report ~sites:[| 0 |] ~preds:[| 0 |] (340 + i));
+        Array.init 70 (fun i -> mk_report ~sites:[| 0 |] ~preds:[| 1 |] (370 + i));
+      ]
+  in
+  let worlds =
+    ("P/not-P", complementary)
+    :: List.init 4 (fun seed ->
+           ( Printf.sprintf "random %d" seed,
+             random_reports (Random.State.make [| seed; 0x5ee |]) ~start_id:0 60 ))
+  in
+  List.iter
+    (fun (name, reports) ->
+      with_temp_dir (fun tmp ->
+          let log = Filename.concat tmp "log" in
+          let idx_dir = Filename.concat tmp "idx" in
+          write_log ~dir:log reports;
+          ignore (Index.build ~log ~dir:idx_dir ());
+          let idx = Index.open_ ~dir:idx_dir in
+          let ds = dataset_of reports in
+          List.iter
+            (fun discard ->
+              let what = Printf.sprintf "%s, %s" name (Sbi_core.Eliminate.discard_to_string discard) in
+              let run = Sbi_core.Eliminate.run ~discard ds in
+              let analysis = (Sbi_core.Analysis.analyze ~discard ds).Sbi_core.Analysis.elimination in
+              let indexed = (Triage.analyze ~discard idx).Triage.elimination in
+              let selected = Sbi_core.Eliminate.selected_preds in
+              Alcotest.(check (list int)) (what ^ ": Analysis.analyze = Eliminate.run")
+                (selected run) (selected analysis);
+              Alcotest.(check (list int)) (what ^ ": Triage.analyze = Eliminate.run")
+                (selected run) (selected indexed);
+              Alcotest.(check bool) (what ^ ": bit-identical") true
+                (elimination_bits run = elimination_bits analysis
+                && elimination_bits run = elimination_bits indexed);
+              if name = "P/not-P" && discard = Sbi_core.Eliminate.Relabel_failing then
+                Alcotest.(check (list int)) "proposal 3 selects P then not-P" [ 0; 1 ]
+                  (selected analysis))
+            [
+              Sbi_core.Eliminate.Discard_all_true;
+              Sbi_core.Eliminate.Discard_failing_true;
+              Sbi_core.Eliminate.Relabel_failing;
+            ]))
+    worlds
+
+(* Every damaged segment file ends as a counted corrupt segment, never an
+   exception from its mapping.  A file of the old version 1 is one of
+   them: fsck names it, repair drops it and rolls its shard back, and the
+   next build re-indexes the range in the current format. *)
+let test_damaged_segment_files_counted () =
+  with_temp_dir (fun tmp ->
+      let log = Filename.concat tmp "log" in
+      let idx_dir = Filename.concat tmp "idx" in
+      let st = Random.State.make [| 27 |] in
+      let s0 = random_reports st ~start_id:0 20 and s1 = random_reports st ~start_id:20 20 in
+      write_log ~dir:log s0;
+      write_log ~dir:log ~shard:1 s1;
+      ignore (Index.build ~log ~dir:idx_dir ());
+      let seg1 = Filename.concat idx_dir "seg-0001.sbix" in
+      let read path = In_channel.with_open_bin path In_channel.input_all in
+      let write path s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+      let good = read seg1 in
+      let n = String.length good in
+      let open_corrupt what =
+        let idx = Index.open_ ~dir:idx_dir in
+        Alcotest.(check int) (what ^ ": one corrupt segment") 1
+          idx.Index.stats.Index.segments_corrupt;
+        Alcotest.(check int) (what ^ ": intact segment still serves") 20 (Index.nruns idx)
+      in
+      Sys.remove seg1;
+      open_corrupt "missing file";
+      List.iter
+        (fun len ->
+          write seg1 (String.sub good 0 len);
+          open_corrupt (Printf.sprintf "%d-byte prefix" len))
+        [ n - 3; Segment.trailer_len; 0 ];
+      (* version 1, with the file CRC recomputed so only the version is off *)
+      let b = Bytes.of_string good in
+      Bytes.set b (String.length Segment.magic) '\001';
+      let crc =
+        Sbi_util.Crc32.sub (Bytes.to_string b) ~pos:(String.length Segment.magic)
+          ~len:(n - 4 - String.length Segment.magic)
+      in
+      for i = 0 to 3 do
+        Bytes.set b (n - 4 + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
+      done;
+      write seg1 (Bytes.to_string b);
+      open_corrupt "version 1";
+      let r = Index.fsck ~dir:idx_dir in
+      Alcotest.(check (list (option string))) "fsck names the version"
+        [ None; Some "unsupported segment version 1" ]
+        (List.map (fun sg -> sg.Index.seg_error) r.Index.fsck_segments);
+      let rep = Index.repair ~dir:idx_dir in
+      Alcotest.(check (list string)) "repair drops it" [ "seg-0001.sbix" ] rep.Index.rep_dropped;
+      ignore (Index.build ~log ~dir:idx_dir ());
+      let idx = Index.open_ ~dir:idx_dir in
+      Alcotest.(check int) "rebuilt: nothing corrupt" 0 idx.Index.stats.Index.segments_corrupt;
+      check_equivalent ~msg:"rebuilt" idx (dataset_of (Array.append s0 s1)))
+
 let suite =
   [
     Alcotest.test_case "bitset" `Quick test_bitset;
@@ -976,4 +1135,10 @@ let suite =
       test_cold_analysis_posting_loads;
     Alcotest.test_case "append rejects unsorted or repeated ids" `Quick
       test_append_rejects_unsorted_ids;
+    Alcotest.test_case "snapshot answers after compaction deletes its files" `Quick
+      test_snapshot_survives_compaction;
+    Alcotest.test_case "one seeding rule: analyze = Eliminate.run, every proposal" `Quick
+      test_seeding_rule_agrees;
+    Alcotest.test_case "damaged or old-version segment files are counted corrupt" `Quick
+      test_damaged_segment_files_counted;
   ]

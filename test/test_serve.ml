@@ -1154,6 +1154,147 @@ let test_connection_churn () =
             stats;
           Client.close c))
 
+(* --- live compaction and the ingest shard --- *)
+
+(* [base_reports] written to [log] in [waves] slices, each indexed by its
+   own build, so the index holds one segment per wave. *)
+let build_wave_index ~log ~idx_dir ~waves =
+  Shard_log.write_meta ~dir:log (Dataset.of_tables ~nsites ~npreds ~pred_site [||]);
+  let n = Array.length base_reports in
+  let per = (n + waves - 1) / waves in
+  for w = 0 to waves - 1 do
+    let wr = Shard_log.create_writer ~append:true ~dir:log ~shard:0 () in
+    Array.iter (Shard_log.append wr) (Array.sub base_reports (w * per) (min per (n - (w * per))));
+    ignore (Shard_log.close_writer wr);
+    ignore (Index.build ~log ~dir:idx_dir ())
+  done
+
+let stat_value c name =
+  let _, lines = request_ok c "stats" in
+  let value l = Scanf.sscanf_opt l "%s %d%!" (fun k v -> if k = name then Some v else None) in
+  match List.find_map (fun l -> Option.join (value l)) lines with
+  | Some v -> v
+  | None -> Alcotest.failf "stats has no %s line" name
+
+(* Background compaction under load: batches are acked and top-k queries
+   run until the server has compacted and swapped once.  By then the
+   merged-away files are gone, the segment count dropped, every acked
+   report is still in the live tail, and top-k answers as
+   [Analysis.analyze] over the base runs plus the acked reports. *)
+let test_live_compaction ~acceptors () =
+  with_temp_dir (fun tmp ->
+      let log = Filename.concat tmp "log" in
+      let idx_dir = Filename.concat tmp "idx" in
+      build_wave_index ~log ~idx_dir ~waves:3;
+      let seg_files () =
+        List.filter (fun f -> Filename.check_suffix f ".sbix") (Array.to_list (Sys.readdir idx_dir))
+      in
+      let before = seg_files () in
+      Alcotest.(check int) "one segment per wave" 3 (List.length before);
+      let addr = Wire.Unix_sock (Filename.concat tmp "sock") in
+      let config =
+        {
+          (Server.default_config addr) with
+          Server.timeout = 10.;
+          ingest_log = Some (Filename.concat tmp "ingest");
+          acceptors;
+          compact_every = Some 0.2;
+          tier_max = 2;
+        }
+      in
+      let srv = Server.start config (Index.open_ ~dir:idx_dir) in
+      Fun.protect
+        ~finally:(fun () -> Server.stop srv)
+        (fun () ->
+          let c = connect_ok addr in
+          let acked = ref [] and next_id = ref 1000 in
+          let batch () =
+            let reports =
+              List.init 4 (fun i ->
+                  let failing = i mod 2 = 0 in
+                  mk_report
+                    ~outcome:(if failing then Report.Failure else Report.Success)
+                    ~sites:[| 0; 2 |]
+                    ~preds:(if failing then [| 0; 4 |] else [| 4 |])
+                    (!next_id + i))
+            in
+            next_id := !next_id + 4;
+            match Client.ingest_batch c reports with
+            | Ok statuses ->
+                List.iter2
+                  (fun r -> function
+                    | Ok _ -> acked := r :: !acked
+                    | Error e -> Alcotest.failf "report rejected: %s" e)
+                  reports statuses
+            | Error e -> Alcotest.failf "ingest-batch failed: %s" e
+          in
+          let deadline = Unix.gettimeofday () +. 10. in
+          while stat_value c "compactions" < 1 do
+            if Unix.gettimeofday () > deadline then Alcotest.fail "no compaction within 10 s";
+            batch ();
+            ignore (request_ok c "topk 10");
+            Thread.delay 0.02
+          done;
+          List.iter
+            (fun f ->
+              if Sys.file_exists (Filename.concat idx_dir f) then
+                Alcotest.failf "merged-away %s still on disk" f)
+            before;
+          Alcotest.(check int) "segments dropped" 1 (stat_value c "segments");
+          (* the swapped-in index takes appends *)
+          batch ();
+          Alcotest.(check int) "every acked report in the live tail" (List.length !acked)
+            (stat_value c "tail_runs");
+          let ds =
+            Dataset.of_tables ~nsites ~npreds ~pred_site
+              (Array.append base_reports (Array.of_list (List.rev !acked)))
+          in
+          let reference = Sbi_core.Analysis.analyze ds in
+          let ranked = Sbi_core.Prune.retained_scores reference.Sbi_core.Analysis.counts in
+          Array.sort Sbi_core.Scores.compare_importance_desc ranked;
+          let expected =
+            List.mapi
+              (fun i (sc : Sbi_core.Scores.t) ->
+                Printf.sprintf "%d %d %.6f %.6f %d %d %s" (i + 1) sc.Sbi_core.Scores.pred
+                  sc.Sbi_core.Scores.importance sc.Sbi_core.Scores.increase sc.Sbi_core.Scores.f
+                  sc.Sbi_core.Scores.s
+                  (Dataset.pred_text ds sc.Sbi_core.Scores.pred))
+              (Array.to_list (Array.sub ranked 0 (min 10 (Array.length ranked))))
+          in
+          Alcotest.(check bool) "fixture retains predicates" true (expected <> []);
+          let _, lines = request_ok c "topk 10" in
+          Alcotest.(check (list string)) "topk = Analysis.analyze on base + acked" expected lines;
+          Client.close c))
+
+(* Each server start opens a fresh ingest shard; one that took no report
+   is removed again at stop, while one with an acked report stays. *)
+let test_idle_start_leaves_no_shard () =
+  with_temp_dir (fun tmp ->
+      let log = Filename.concat tmp "log" in
+      let idx_dir = Filename.concat tmp "idx" in
+      build_wave_index ~log ~idx_dir ~waves:1;
+      let listing () = List.sort compare (Array.to_list (Sys.readdir log)) in
+      let before = listing () in
+      let addr = Wire.Unix_sock (Filename.concat tmp "sock") in
+      let config = { (Server.default_config addr) with Server.ingest_log = Some log } in
+      Server.stop (Server.start config (Index.open_ ~dir:idx_dir));
+      Alcotest.(check (list string)) "idle start and stop leave the log as it was" before
+        (listing ());
+      let srv = Server.start config (Index.open_ ~dir:idx_dir) in
+      Fun.protect
+        ~finally:(fun () -> Server.stop srv)
+        (fun () ->
+          let c = connect_ok addr in
+          (match Client.ingest_batch c [ mk_report ~sites:[| 0 |] ~preds:[| 1 |] 500 ] with
+          | Ok [ Ok 500 ] -> ()
+          | Ok _ -> Alcotest.fail "report not acked"
+          | Error e -> Alcotest.failf "ingest-batch failed: %s" e);
+          Client.close c);
+      Alcotest.(check int) "the acked report's shard stays" (List.length before + 1)
+        (List.length (listing ()));
+      let ds, _ = Shard_log.read_all ~dir:log in
+      Alcotest.(check int) "acked report on disk" (Array.length base_reports + 1) (Dataset.nruns ds))
+
 (* Each lifecycle test runs on one event loop — the CLI default, a shared
    listener with no fd hand-off — and on two, where loop 0 hands every
    other accepted fd to its peer ([Adopt]). *)
@@ -1194,4 +1335,9 @@ let suite =
       Alcotest.test_case "2k-connection churn storm" `Slow test_connection_churn;
       Alcotest.test_case "ingest-batch rejects hostile payloads one by one" `Quick
         test_server_ingest_batch_hostile;
+    ]
+  @ dual "live compaction swaps under load" test_live_compaction
+  @ [
+      Alcotest.test_case "idle start leaves no empty ingest shard" `Quick
+        test_idle_start_leaves_no_shard;
     ]

@@ -2,7 +2,8 @@
    Bitset kernels against bit-at-a-time references, compressed run
    bitmaps (Rbitmap) against the dense Bitset reference across every
    counting kernel, the cost-budgeted LRU posting cache, the size-tiered
-   compaction planner, and the segment v2 footer's lazy-read path. *)
+   compaction planner, and the segment footer's lazy-read path through
+   one mapping per file. *)
 open Sbi_store
 
 let with_temp_dir f =
@@ -282,11 +283,8 @@ let test_footer_lazy_reads () =
       let seg = sample_segment () in
       let path = Filename.concat tmp "seg.sbix" in
       write_file path (Segment.encode seg);
-      let ft =
-        match Segment.read_footer path with
-        | Some ft -> ft
-        | None -> Alcotest.fail "v2 segment must expose a footer"
-      in
+      let m = Segment.map path in
+      let ft = Segment.read_footer m in
       Alcotest.(check int) "version" Segment.format_version ft.Segment.ft_version;
       Alcotest.(check int) "nruns" seg.Segment.nruns ft.Segment.ft_nruns;
       Alcotest.(check int) "nsites" nsites ft.Segment.ft_nsites;
@@ -296,15 +294,13 @@ let test_footer_lazy_reads () =
       (* every posting is fetchable alone and equals the decoded array *)
       for s = 0 to nsites - 1 do
         Alcotest.(check bool) (Printf.sprintf "site posting %d" s) true
-          (Segment.read_posting path ft `Site s = seg.Segment.site_obs.(s))
+          (Segment.read_posting m ft `Site s = seg.Segment.site_obs.(s))
       done;
       for p = 0 to npreds - 1 do
         Alcotest.(check bool) (Printf.sprintf "pred posting %d" p) true
-          (Segment.read_posting path ft `Pred p = seg.Segment.pred_true.(p))
+          (Segment.read_posting m ft `Pred p = seg.Segment.pred_true.(p))
       done;
-      Alcotest.(check bool) "run ids" true
-        (Segment.read_run_ids path ft = seg.Segment.run_ids);
-      let failing = Segment.read_failing path ft in
+      let failing = Segment.read_failing m ft in
       Alcotest.(check bool) "failing bitmap" true
         (Array.init seg.Segment.nruns (Bitset.get failing)
         = Array.init seg.Segment.nruns (Bitset.get seg.Segment.failing));
@@ -317,10 +313,11 @@ let test_footer_lazy_reads () =
            (Sbi_ingest.Aggregator.to_counts of_body)
         = 0))
 
-(* An empty posting is answered from the footer directory alone: with the
-   segment file deleted it still reads back, while a nonempty one needs
-   the file.  A count-0 entry that claims bytes is still rejected. *)
-let test_empty_posting_no_io () =
+(* A segment file read through its mapping keeps answering after it is
+   unlinked: every posting and the outcome bitmap still read back.  An
+   empty posting comes from the footer directory alone, and a count-0
+   entry that claims bytes is rejected. *)
+let test_unlinked_segment_reads () =
   with_temp_dir (fun tmp ->
       (* site 2 and predicates 3..5 are never observed *)
       let seg =
@@ -332,19 +329,24 @@ let test_empty_posting_no_io () =
       in
       let path = Filename.concat tmp "seg.sbix" in
       write_file path (Segment.encode seg);
-      let ft =
-        match Segment.read_footer path with
-        | Some ft -> ft
-        | None -> Alcotest.fail "v2 segment must expose a footer"
-      in
+      let m = Segment.map path in
+      let ft = Segment.read_footer m in
       Sys.remove path;
-      Alcotest.(check bool) "empty predicate posting reads without the file" true
-        (Segment.read_posting path ft `Pred 4 = [||]);
-      Alcotest.(check bool) "empty site posting reads without the file" true
-        (Segment.read_posting path ft `Site 2 = [||]);
-      (match Segment.read_posting path ft `Pred 0 with
-      | _ -> Alcotest.fail "a nonempty posting must read the file"
-      | exception (Sys_error _ | Unix.Unix_error _) -> ());
+      Gc.full_major ();
+      for p = 0 to npreds - 1 do
+        Alcotest.(check bool) (Printf.sprintf "pred posting %d after unlink" p) true
+          (Segment.read_posting m ft `Pred p = seg.Segment.pred_true.(p))
+      done;
+      for s = 0 to nsites - 1 do
+        Alcotest.(check bool) (Printf.sprintf "site posting %d after unlink" s) true
+          (Segment.read_posting m ft `Site s = seg.Segment.site_obs.(s))
+      done;
+      Alcotest.(check bool) "failing bitmap after unlink" true
+        (Array.init seg.Segment.nruns (Bitset.get (Segment.read_failing m ft))
+        = Array.init seg.Segment.nruns (Bitset.get seg.Segment.failing));
+      (match Segment.map path with
+      | _ -> Alcotest.fail "mapping a missing file must fail"
+      | exception Segment.Corrupt _ -> ());
       let claims_bytes =
         {
           ft with
@@ -354,40 +356,58 @@ let test_empty_posting_no_io () =
               ft.Segment.ft_pred_dir;
         }
       in
-      match Segment.read_posting path claims_bytes `Pred 4 with
+      match Segment.read_posting m claims_bytes `Pred 4 with
       | _ -> Alcotest.fail "a count-0 posting with a byte length must be corrupt"
       | exception Segment.Corrupt _ -> ())
 
-let test_footer_v1_and_corruption () =
+(* [encoded] with its version varint set to [v] and the whole-file CRC
+   recomputed, so only the version is wrong. *)
+let with_version encoded v =
+  let b = Bytes.of_string encoded in
+  Bytes.set b (String.length Segment.magic) (Char.chr v);
+  let n = Bytes.length b in
+  let crc =
+    Sbi_util.Crc32.sub (Bytes.unsafe_to_string b) ~pos:(String.length Segment.magic)
+      ~len:(n - 4 - String.length Segment.magic)
+  in
+  for i = 0 to 3 do
+    Bytes.set b (n - 4 + i) (Char.chr ((crc lsr (8 * i)) land 0xFF))
+  done;
+  Bytes.to_string b
+
+let test_version_1_and_corruption () =
   with_temp_dir (fun tmp ->
       let seg = sample_segment () in
-      (* v1 files have no footer: the lazy open must say so, not guess *)
-      let v1 = Filename.concat tmp "v1.sbix" in
-      write_file v1 (Segment.encode_v1 seg);
-      (match Segment.read_footer v1 with
-      | None -> ()
-      | Some _ -> Alcotest.fail "v1 segment must not expose a footer");
-      Alcotest.(check int) "v1 still decodes in full" seg.Segment.nruns
-        (Segment.decode (Segment.encode_v1 seg)).Segment.nruns;
-      (* flip each trailer/footer byte: the lazy open must detect it *)
       let encoded = Segment.encode seg in
+      let bad = Filename.concat tmp "bad.sbix" in
+      let read_footer_of bytes =
+        write_file bad bytes;
+        Segment.read_footer (Segment.map bad)
+      in
+      (* one format: a version-1 file is corrupt on both read paths *)
+      let v1 = with_version encoded 1 in
+      (match read_footer_of v1 with
+      | _ -> Alcotest.fail "a version-1 segment must not expose a footer"
+      | exception Segment.Corrupt m ->
+          Alcotest.(check string) "lazy open names the version" "unsupported segment version 1" m);
+      (match Segment.decode v1 with
+      | _ -> Alcotest.fail "a version-1 segment must not decode"
+      | exception Segment.Corrupt m ->
+          Alcotest.(check string) "decode names the version" "unsupported segment version 1" m);
       let sz = String.length encoded in
       let flip s i =
         let b = Bytes.of_string s in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x08));
         Bytes.to_string b
       in
-      let bad = Filename.concat tmp "bad.sbix" in
       let detected = ref 0 in
       (* last 4 footer bytes + footer offset + footer CRC; the final
          4 bytes (the whole-file CRC) are deliberately excluded — the
          lazy open leaves file-level integrity to decode/fsck *)
       for off = sz - Segment.trailer_len - 4 to sz - 5 do
-        write_file bad (flip encoded off);
-        match Segment.read_footer bad with
+        match read_footer_of (flip encoded off) with
         | exception Segment.Corrupt _ -> incr detected
-        | None -> incr detected
-        | Some _ -> ()
+        | _ -> ()
       done;
       Alcotest.(check int) "every damaged footer/trailer byte detected"
         (Segment.trailer_len + 4 - 4) !detected;
@@ -395,12 +415,14 @@ let test_footer_v1_and_corruption () =
       (match Segment.decode (flip encoded (sz - 1)) with
       | _ -> Alcotest.fail "full decode must verify the file CRC"
       | exception Segment.Corrupt _ -> ());
-      (* truncation is damage, not a short read *)
-      write_file bad (String.sub encoded 0 (sz - 3));
-      match Segment.read_footer bad with
-      | exception Segment.Corrupt _ -> ()
-      | None -> ()
-      | Some _ -> Alcotest.fail "truncated segment must not expose a footer")
+      (* truncation is damage, not a short read; so is a file too small
+         to hold a trailer, down to an empty one *)
+      List.iter
+        (fun len ->
+          match read_footer_of (String.sub encoded 0 len) with
+          | _ -> Alcotest.failf "a %d-byte prefix must not expose a footer" len
+          | exception Segment.Corrupt _ -> ())
+        [ sz - 3; Segment.trailer_len; 4; 0 ])
 
 let suite =
   [
@@ -409,9 +431,10 @@ let suite =
     Alcotest.test_case "lru cache" `Quick test_lru;
     Alcotest.test_case "tier policy" `Quick test_tier_policy;
     Alcotest.test_case "segment v2 footer lazy reads" `Quick test_footer_lazy_reads;
-    Alcotest.test_case "empty postings need no file I/O" `Quick test_empty_posting_no_io;
-    Alcotest.test_case "segment v1 fallback + footer corruption" `Quick
-      test_footer_v1_and_corruption;
+    Alcotest.test_case "unlinked segment reads through its mapping" `Quick
+      test_unlinked_segment_reads;
+    Alcotest.test_case "segment v1 is Corrupt + footer damage detected" `Quick
+      test_version_1_and_corruption;
     QCheck_alcotest.to_alcotest qcheck_kernels;
     QCheck_alcotest.to_alcotest qcheck_of_positions;
   ]
