@@ -121,7 +121,44 @@ let runtime_tests () =
     incr counter;
     !counter
   in
-  [
+  (* exifim, the study perfbench's collect-analyze collects: a bare and an
+     instrumented run, each with its minor words per run, which (unlike
+     the timings) are deterministic *)
+  let exif = bundle "exifim" in
+  let exif_spec =
+    Sbi_runtime.Collect.make_spec ~transform:exif.Harness.transform ~plan:exif.Harness.plan
+      ~gen_input:(fun run -> Sbi_corpus.Exifim.study.Sbi_corpus.Study.gen_input ~seed:1 ~run)
+      ()
+  in
+  let exif_sampler =
+    Sbi_instrument.Sampler.create
+      ~nsites:(Sbi_instrument.Transform.num_sites exif.Harness.transform)
+      exif.Harness.plan
+  in
+  let exif_runs =
+    [
+      ( "run:exifim-uninstrumented",
+        fun run_index -> ignore (Sbi_runtime.Collect.run_uninstrumented exif_spec ~run_index) );
+      ( "run:exifim-sampled-nonuniform",
+        fun run_index ->
+          ignore (Sbi_runtime.Collect.run_one exif_spec ~sampler:exif_sampler ~run_index) );
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      let w0 = Gc.minor_words () in
+      for i = 0 to 99 do
+        run i
+      done;
+      Printf.printf "%s: %.0f minor words/run (runs 0-99)\n%!" name
+        ((Gc.minor_words () -. w0) /. 100.))
+    exif_runs;
+  let exif_tests =
+    List.map
+      (fun (name, run) -> Test.make ~name (Staged.stage (fun () -> run (next () mod 1000))))
+      exif_runs
+  in
+  exif_tests @ [
     Test.make ~name:"run:uninstrumented"
       (Staged.stage (fun () ->
            Sbi_runtime.Collect.run_uninstrumented spec_sampled ~run_index:(next () mod 1000)));

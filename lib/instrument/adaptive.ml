@@ -17,7 +17,7 @@ let count_visits (t : Transform.t) ~run ~ntrain =
       ~visit:(fun site ->
         visits.(site) <- visits.(site) + 1;
         false)
-      ~record:(fun ~site:_ ~truths:_ -> ())
+      ~record:(fun _ _ -> ())
   in
   for _ = 1 to ntrain do
     ignore (run hooks)

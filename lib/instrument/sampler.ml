@@ -13,17 +13,29 @@ type t = {
   plan : plan;
   nsites : int;
   countdown : int array;  (* visits remaining until next sample; -1 = never *)
+  rate : float array;  (* plan_rate per site *)
+  log_q : float array;  (* log (1 - rate) per site, for Prng.geometric_log *)
   rng : Sbi_util.Prng.t;
 }
 
 let draw_countdown t site =
-  let rate = plan_rate t.plan site in
+  let rate = t.rate.(site) in
   if rate >= 1. then 1
   else if rate <= 0. then -1
-  else Sbi_util.Prng.geometric t.rng rate
+  else Sbi_util.Prng.geometric_log t.rng t.log_q site
 
 let create ?(seed = 0x5eed) ~nsites plan =
-  let t = { plan; nsites; countdown = Array.make (max nsites 1) 1; rng = Sbi_util.Prng.create seed } in
+  let rate = Array.init (max nsites 1) (plan_rate plan) in
+  let t =
+    {
+      plan;
+      nsites;
+      countdown = Array.make (max nsites 1) 1;
+      rate;
+      log_q = Array.map (fun r -> log (1. -. r)) rate;
+      rng = Sbi_util.Prng.create seed;
+    }
+  in
   for site = 0 to nsites - 1 do
     t.countdown.(site) <- draw_countdown t site
   done;

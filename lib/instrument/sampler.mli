@@ -4,6 +4,9 @@
     site's sampling rate, the visit is observed.  As in the deployed CBI
     system, the Bernoulli process is implemented with a geometric
     "next-sample countdown" so that unobserved visits cost one decrement.
+    A sampled visit re-arms the countdown with one geometric draw, whose
+    [log (1 - rate)] the sampler precomputes per site at {!create}; no
+    trial allocates.
 
     Rates are given by a {!plan}: the paper uses a global 1/100 rate for
     most experiments and {e non-uniform} per-site rates (inversely

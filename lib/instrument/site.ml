@@ -57,6 +57,7 @@ let predicate_texts site =
       | Some p -> sextet_texts site.subject (partner_to_string p)
       | None -> sextet_texts site.subject "?")
 
-let eval_branch c = [| c; not c |]
+let branch_mask c = if c then 0b01 else 0b10
 
-let eval_sextet x y = [| x < y; x <= y; x > y; x >= y; x = y; x <> y |]
+(* bit i is predicate i of [x<y; x<=y; x>y; x>=y; x=y; x<>y] *)
+let sextet_mask (x : int) y = if x < y then 0b100011 else if x = y then 0b011010 else 0b101100

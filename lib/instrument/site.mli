@@ -46,9 +46,19 @@ val num_preds_of_scheme : scheme -> int
 val predicate_texts : t -> string list
 (** The [num_preds] texts for a site, in predicate-index order. *)
 
-val eval_branch : bool -> bool array
-(** Truth vector for a branches site given the condition value. *)
+(** {1 Truth masks}
 
-val eval_sextet : int -> int -> bool array
-(** Truth vector [x<y; x<=y; x>y; x>=y; x=y; x<>y] shared by the returns
-    scheme (with [y = 0]) and the scalar-pairs scheme. *)
+    One observation of a site is an [int] mask whose bit [i] is the truth
+    of the site's predicate [i] (predicate id [first_pred + i]).  A mask
+    is computed without allocating, and the recorder ORs it into the
+    site's mask for the run. *)
+
+val branch_mask : bool -> int
+(** Mask of a branches site given the condition value: [0b01] ("is
+    TRUE") or [0b10] ("is FALSE"). *)
+
+val sextet_mask : int -> int -> int
+(** Mask over [x<y; x<=y; x>y; x>=y; x=y; x<>y], shared by the returns
+    scheme (with [y = 0]) and the scalar-pairs scheme.  It is one of three
+    masks, each with 3 of the 6 bits set: [0b100011] when [x < y],
+    [0b011010] when [x = y] and [0b101100] when [x > y]. *)

@@ -69,6 +69,7 @@ type state = {
   mutable fuel_left : int;
   mutable steps : int;
   ctx : Builtins.ctx;  (* output, events, bugs, nondet, args *)
+  read : Rast.var_ref -> Value.t;  (* [read_var] of this state, for on_scalar_assign *)
 }
 
 let crash = Interp_error.crash
@@ -218,7 +219,7 @@ and exec_stmt st (stmt : rstmt) =
       st.frame.(slot) <- v;
       if Ast.ty_equal ty Ast.TInt && init <> None then
         st.cfg.hooks.on_scalar_assign ~sid:stmt.rsid ~lhs:(RLocal slot) ~old_value:None
-          ~read:(read_var st)
+          ~read:st.read
   | RAssign (lty, lv, rhs) -> (
       match lv with
       | RLVar (ref_, _) ->
@@ -227,7 +228,7 @@ and exec_stmt st (stmt : rstmt) =
           write_var st ref_ v;
           if Ast.ty_equal lty Ast.TInt then
             st.cfg.hooks.on_scalar_assign ~sid:stmt.rsid ~lhs:ref_ ~old_value:old
-              ~read:(read_var st)
+              ~read:st.read
       | RLIndex (arr, idx) -> (
           let varr = eval st arr in
           let vidx = as_int loc (eval st idx) in
@@ -301,9 +302,9 @@ let run prog cfg =
       crash = Interp_error.crash;
     }
   in
-  let st =
+  let rec st =
     { prog; cfg; globals; frame = [||]; depth = 0; stack = []; fuel_left = cfg.fuel;
-      steps = 0; ctx }
+      steps = 0; ctx; read = (fun ref_ -> read_var st ref_) }
   in
   let outcome =
     try

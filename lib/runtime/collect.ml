@@ -23,50 +23,93 @@ let make_spec ?oracle ?(fuel = 10_000_000) ?(nondet_salt = 0x7a11) ~transform ~p
     compiled = lazy (Sbi_lang.Vm.compile transform.Transform.prog);
   }
 
-(* Per-run observation accumulator.  Stamp arrays avoid clearing
-   site/predicate-sized buffers between runs. *)
+(* The observation accumulator, one per domain and reused across its
+   runs.  Each run takes the next stamp; a site's mask, and the counts of
+   the predicates set in it, belong to the current run only while the
+   site's stamp is the run's, so nothing is cleared between runs. *)
 type accum = {
   mutable stamp : int;
-  site_stamp : int array;
-  pred_stamp : int array;
-  pred_count : int array;  (* observed-true count, valid when stamped *)
-  mutable sites_rev : int list;
-  mutable preds_rev : int list;
+  mutable busy : bool;  (* a run of this domain is recording into it *)
+  mutable site_stamp : int array;
+  mutable site_mask : int array;  (* OR of the run's truth masks at the site *)
+  mutable pred_count : int array;  (* observed-true count, valid for the mask's bits *)
+  mutable nobserved : int;  (* sites the run has observed *)
 }
 
-let make_accum ~nsites ~npreds =
-  {
-    stamp = 0;
-    site_stamp = Array.make (max nsites 1) (-1);
-    pred_stamp = Array.make (max npreds 1) (-1);
-    pred_count = Array.make (max npreds 1) 0;
-    sites_rev = [];
-    preds_rev = [];
-  }
+let empty_accum () =
+  { stamp = 0; busy = false; site_stamp = [||]; site_mask = [||]; pred_count = [||]; nobserved = 0 }
 
-let accum_begin acc stamp =
-  acc.stamp <- stamp;
-  acc.sites_rev <- [];
-  acc.preds_rev <- []
+let accum_key = Domain.DLS.new_key empty_accum
 
-let accum_site acc site =
-  if acc.site_stamp.(site) <> acc.stamp then begin
-    acc.site_stamp.(site) <- acc.stamp;
-    acc.sites_rev <- site :: acc.sites_rev
-  end
+(* The domain's accumulator, sized for [t] and stamped for a new run.  A
+   run that starts while another of this domain's is recording (another
+   systhread) gets a private one. *)
+let begin_accum t =
+  let shared = Domain.DLS.get accum_key in
+  let acc = if shared.busy then empty_accum () else shared in
+  let nsites = Transform.num_sites t and npreds = Transform.num_preds t in
+  if Array.length acc.site_stamp < nsites then begin
+    acc.site_stamp <- Array.make nsites 0;
+    acc.site_mask <- Array.make nsites 0
+  end;
+  if Array.length acc.pred_count < npreds then acc.pred_count <- Array.make npreds 0;
+  acc.busy <- true;
+  acc.stamp <- acc.stamp + 1;
+  acc.nobserved <- 0;
+  acc
 
-let accum_pred acc pred =
-  if acc.pred_stamp.(pred) <> acc.stamp then begin
-    acc.pred_stamp.(pred) <- acc.stamp;
-    acc.pred_count.(pred) <- 1;
-    acc.preds_rev <- pred :: acc.preds_rev
-  end
-  else acc.pred_count.(pred) <- acc.pred_count.(pred) + 1
+let record acc (sites : Site.t array) site mask =
+  let old =
+    if acc.site_stamp.(site) = acc.stamp then acc.site_mask.(site)
+    else begin
+      acc.site_stamp.(site) <- acc.stamp;
+      acc.nobserved <- acc.nobserved + 1;
+      0
+    end
+  in
+  acc.site_mask.(site) <- old lor mask;
+  (* a predicate's count starts at 1 when its bit joins the site's mask *)
+  let p = ref sites.(site).Site.first_pred and m = ref mask and o = ref old in
+  while !m <> 0 do
+    if !m land 1 <> 0 then
+      acc.pred_count.(!p) <- (if !o land 1 <> 0 then acc.pred_count.(!p) + 1 else 1);
+    incr p;
+    m := !m lsr 1;
+    o := !o lsr 1
+  done
 
-let sorted_array_of_list l =
-  let arr = Array.of_list l in
-  Array.sort Int.compare arr;
-  arr
+let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1))
+
+(* The run's observed sites, true predicates and their counts, each
+   ascending.  Scanning the stamps lists the observed sites in order, and
+   a site's predicates have consecutive ids in site order, so reading
+   each observed site's mask bits in order emits ascending ids. *)
+let end_accum acc (sites : Site.t array) =
+  let observed = Array.make acc.nobserved 0 and k = ref 0 and ntrue = ref 0 in
+  for s = 0 to Array.length sites - 1 do
+    if acc.site_stamp.(s) = acc.stamp then begin
+      observed.(!k) <- s;
+      incr k;
+      ntrue := !ntrue + popcount acc.site_mask.(s)
+    end
+  done;
+  let preds = Array.make !ntrue 0 and counts = Array.make !ntrue 0 in
+  k := 0;
+  Array.iter
+    (fun s ->
+      let p = ref sites.(s).Site.first_pred and m = ref acc.site_mask.(s) in
+      while !m <> 0 do
+        if !m land 1 <> 0 then begin
+          preds.(!k) <- !p;
+          counts.(!k) <- acc.pred_count.(!p);
+          incr k
+        end;
+        incr p;
+        m := !m lsr 1
+      done)
+    observed;
+  acc.busy <- false;
+  (observed, preds, counts)
 
 let nondet_seed_of spec run_index = (spec.nondet_salt * 1_000_003) + run_index
 
@@ -83,15 +126,11 @@ let run_seed ~seed ~run_index =
 let run_one spec ~sampler ~run_index =
   let t = spec.transform in
   let sites = t.Transform.sites in
-  let acc = make_accum ~nsites:(Transform.num_sites t) ~npreds:(Transform.num_preds t) in
-  accum_begin acc run_index;
+  let acc = begin_accum t in
   Sampler.begin_run sampler;
-  let record ~site ~truths =
-    accum_site acc site;
-    let first = sites.(site).Site.first_pred in
-    Array.iteri (fun i b -> if b then accum_pred acc (first + i)) truths
+  let hooks =
+    Observe.hooks t ~visit:(Sampler.should_sample sampler) ~record:(record acc sites)
   in
-  let hooks = Observe.hooks t ~visit:(Sampler.should_sample sampler) ~record in
   let args = spec.gen_input run_index in
   let config =
     {
@@ -103,6 +142,7 @@ let run_one spec ~sampler ~run_index =
     }
   in
   let result = Interp.run t.Transform.prog config in
+  let observed_sites, true_preds, true_counts = end_accum acc sites in
   let failed_oracle =
     match (result.Interp.outcome, spec.oracle) with
     | Interp.Finished _, Some oracle -> oracle ~run_index ~args result
@@ -114,14 +154,13 @@ let run_one spec ~sampler ~run_index =
     | Interp.Finished _ when failed_oracle -> (Report.Failure, None)
     | Interp.Finished _ -> (Report.Success, None)
   in
-  let true_preds = sorted_array_of_list acc.preds_rev in
   let report =
     {
       Report.run_id = run_index;
       outcome;
-      observed_sites = sorted_array_of_list acc.sites_rev;
+      observed_sites;
       true_preds;
-      true_counts = Array.map (fun p -> acc.pred_count.(p)) true_preds;
+      true_counts;
       bugs = Array.of_list result.Interp.bugs_triggered;
       crash_sig;
     }

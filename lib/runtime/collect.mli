@@ -41,7 +41,13 @@ val run_one :
   sampler:Sbi_instrument.Sampler.t ->
   run_index:int ->
   Report.t * Sbi_lang.Interp.result
-(** Executes a single monitored run (also used by training and tests). *)
+(** Executes a single monitored run (also used by training and tests).
+    Each sampled observation ORs its truth mask into its site's slot of
+    the calling domain's accumulator and bumps the counts of the
+    predicates the mask holds, allocating nothing.  The accumulator is
+    reused across the domain's runs: a stamp per run marks which slots
+    are current, so nothing is cleared between runs, and the report's
+    sorted ids come from one scan of the stamps at run end. *)
 
 val run_seed : seed:int -> run_index:int -> int
 (** The per-run sampling key: a splitmix64-style mix of the collection seed

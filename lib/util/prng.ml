@@ -1,56 +1,52 @@
 (* xoshiro256** with splitmix64 seeding.  Reference: Blackman & Vigna,
    "Scrambled linear pseudorandom number generators", 2018. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four state words live unboxed in 32 bytes, read and written with
+   [Bytes.get/set_int64_le]: a draw that keeps its words in locals
+   allocates nothing, where mutable [int64] fields would box every word
+   it stores. *)
+type t = Bytes.t
 
-let splitmix64_next state =
+let golden = 0x9E3779B97F4A7C15L
+
+(* splitmix64's output function *)
+let[@inline] mix z =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+(* Word i is splitmix64's (i+1)-th output from state [seed]. *)
+let[@inline] fill t seed =
+  for i = 0 to 3 do
+    Bytes.set_int64_le t (8 * i) (mix (Int64.add seed (Int64.mul golden (Int64.of_int (i + 1)))))
+  done
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let of_seed seed =
+  let t = Bytes.create 32 in
+  fill t seed;
+  t
 
-let reseed t seed =
-  let state = ref (Int64.of_int seed) in
-  t.s0 <- splitmix64_next state;
-  t.s1 <- splitmix64_next state;
-  t.s2 <- splitmix64_next state;
-  t.s3 <- splitmix64_next state
+let create seed = of_seed (Int64.of_int seed)
+let copy = Bytes.copy
+let reseed t seed = fill t (Int64.of_int seed)
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
-  result
+let[@inline] next t =
+  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
+  let s2 = Int64.logxor (Bytes.get_int64_le t 16) s0 in
+  let s3 = Int64.logxor (Bytes.get_int64_le t 24) s1 in
+  Bytes.set_int64_le t 0 (Int64.logxor s0 s3);
+  Bytes.set_int64_le t 8 (Int64.logxor s1 s2);
+  Bytes.set_int64_le t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  Bytes.set_int64_le t 24 (rotl s3 45);
+  Int64.mul (rotl (Int64.mul s1 5L) 7) 9L
 
-let split t =
-  let state = ref (int64 t) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
-
-let bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
+let int64 t = next t
+let split t = of_seed (next t)
+let bits30 t = Int64.to_int (Int64.shift_right_logical (next t) 34)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -61,45 +57,44 @@ let int t bound =
       mask := !mask lsl 1
     done;
     let mask = !mask - 1 in
-    let rec draw () =
-      let v = bits30 t land mask in
-      if v < bound then v else draw ()
-    in
-    draw ()
+    let v = ref (bits30 t land mask) in
+    while !v >= bound do
+      v := bits30 t land mask
+    done;
+    !v
   end
   else
-    (* Large bounds: use 62 random bits. *)
-    let rec draw () =
-      let v = Int64.to_int (Int64.shift_right_logical (int64 t) 2) in
-      let v = v mod bound in
-      if v >= 0 then v else draw ()
-    in
-    draw ()
+    (* Large bounds: 62 random bits, never negative. *)
+    Int64.to_int (Int64.shift_right_logical (next t) 2) mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let unit_float t =
+let[@inline] unit_float t =
   (* 53 uniform bits into [0,1). *)
-  let v = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int v *. 0x1.0p-53
 
 let float t bound = unit_float t *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p =
   if p <= 0. then false else if p >= 1. then true else unit_float t < p
 
+(* Inverse transform: ceil (ln U / ln (1-p)) over U in (0,1], given
+   [log_q = ln (1-p)]. *)
+let[@inline] geometric_draw t log_q =
+  let u = 1. -. unit_float t in
+  let n = int_of_float (ceil (log u /. log_q)) in
+  if n < 1 then 1 else n
+
 let geometric t p =
   if p <= 0. || p > 1. then invalid_arg "Prng.geometric: p must be in (0,1]";
-  if p >= 1. then 1
-  else
-    (* Inverse transform: ceil(ln U / ln (1-p)) over U in (0,1). *)
-    let u = 1. -. unit_float t in
-    let n = int_of_float (ceil (log u /. log (1. -. p))) in
-    if n < 1 then 1 else n
+  if p >= 1. then 1 else geometric_draw t (log (1. -. p))
+
+let geometric_log t log_q i = geometric_draw t log_q.(i)
 
 let gaussian t =
   let rec draw () =

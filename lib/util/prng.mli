@@ -3,7 +3,12 @@
     All randomness in the library flows through this module so that every
     experiment is reproducible from a single integer seed.  The generator is
     xoshiro256** seeded through splitmix64, which is fast, has a 2^256 - 1
-    period, and passes BigCrush. *)
+    period, and passes BigCrush.
+
+    The state is four 64-bit words held unboxed in 32 bytes, so a draw
+    that returns an [int] ({!bits30}, {!int}, {!geometric},
+    {!geometric_log}) allocates nothing; only results of type [int64] or
+    [float] are boxed, as any such result returned from a function is. *)
 
 type t
 (** Mutable generator state. *)
@@ -54,7 +59,16 @@ val bernoulli : t -> float -> bool
 val geometric : t -> float -> int
 (** [geometric t p] is the number of Bernoulli([p]) trials up to and
     including the first success: support {1, 2, ...}.  Used for sampling
-    countdowns.  [p] must be in (0, 1]; [p = 1.] always yields 1. *)
+    countdowns.  [p] must be in (0, 1]; [p = 1.] always yields 1 and draws
+    nothing.  Otherwise it takes one draw and two logarithms, one of
+    them [log (1. -. p)]. *)
+
+val geometric_log : t -> float array -> int -> int
+(** [geometric_log t log_q i] draws what [geometric t p] draws when
+    [log_q.(i) = log (1. -. p)] and [p] is in (0, 1): the same code, with
+    the second logarithm precomputed, so a draw costs one [log].  The
+    sampler keeps one such entry per site.  The table is passed rather
+    than the float itself so that no float is boxed per draw. *)
 
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller, polar form). *)

@@ -156,7 +156,7 @@ let qcheck_instrumentation_transparent =
       let hooks =
         Observe.hooks t
           ~visit:(fun _ -> true)
-          ~record:(fun ~site:_ ~truths:_ -> incr observed)
+          ~record:(fun _ _ -> incr observed)
       in
       let monitored = Interp.run prog { Interp.default_config with Interp.hooks } in
       String.equal plain.Interp.output monitored.Interp.output

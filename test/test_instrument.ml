@@ -98,15 +98,29 @@ let test_predicate_texts () =
   Alcotest.(check bool) "branch TRUE text" true (List.mem "x > 0 is TRUE" texts);
   Alcotest.(check bool) "branch FALSE text" true (List.mem "x > 0 is FALSE" texts)
 
+(* bit i of a truth mask is the site's predicate i *)
+let decode mask n = Array.init n (fun i -> mask land (1 lsl i) <> 0)
+
 let test_eval_vectors () =
-  Alcotest.(check (array bool)) "branch true" [| true; false |] (Site.eval_branch true);
-  Alcotest.(check (array bool)) "branch false" [| false; true |] (Site.eval_branch false);
+  Alcotest.(check (array bool)) "branch true" [| true; false |] (decode (Site.branch_mask true) 2);
+  Alcotest.(check (array bool)) "branch false" [| false; true |] (decode (Site.branch_mask false) 2);
   Alcotest.(check (array bool)) "sextet x<y" [| true; true; false; false; false; true |]
-    (Site.eval_sextet 1 2);
+    (decode (Site.sextet_mask 1 2) 6);
   Alcotest.(check (array bool)) "sextet x=y" [| false; true; false; true; true; false |]
-    (Site.eval_sextet 2 2);
+    (decode (Site.sextet_mask 2 2) 6);
   Alcotest.(check (array bool)) "sextet x>y" [| false; false; true; true; false; true |]
-    (Site.eval_sextet 3 2)
+    (decode (Site.sextet_mask 3 2) 6)
+
+let qcheck_masks =
+  let extreme = QCheck2.Gen.(oneof [ oneofl [ min_int; max_int; 0; -1; 1 ]; int ]) in
+  QCheck2.Test.make ~name:"truth masks decode to the predicates' truths" ~count:1000
+    ~print:QCheck2.Print.(triple int int bool)
+    QCheck2.Gen.(triple extreme extreme bool)
+    (fun (x, y, c) ->
+      decode (Site.sextet_mask x y) 6 = [| x < y; x <= y; x > y; x >= y; x = y; x <> y |]
+      && Site.sextet_mask x y < 64
+      && decode (Site.branch_mask c) 2 = [| c; not c |]
+      && Site.branch_mask c < 4)
 
 let test_disabled_schemes () =
   let config =
@@ -128,9 +142,11 @@ let observe_run ?config src =
   let hooks =
     Observe.hooks t
       ~visit:(fun _ -> true)
-      ~record:(fun ~site ~truths:tr ->
+      ~record:(fun site mask ->
         let first = t.Transform.sites.(site).Site.first_pred in
-        Array.iteri (fun i b -> if b then Hashtbl.replace truths (first + i) ()) tr)
+        Array.iteri
+          (fun i b -> if b then Hashtbl.replace truths (first + i) ())
+          (decode mask t.Transform.sites.(site).Site.num_preds))
   in
   ignore (Interp.run t.Transform.prog { Interp.default_config with Interp.hooks });
   ( t,
@@ -309,4 +325,5 @@ let suite =
     Alcotest.test_case "plan rates" `Quick test_plan_rate;
     Alcotest.test_case "adaptive rate formula" `Quick test_adaptive_formula;
     Alcotest.test_case "adaptive visit counting" `Quick test_adaptive_count_visits;
+    QCheck_alcotest.to_alcotest qcheck_masks;
   ]

@@ -167,6 +167,130 @@ let test_choice () =
   done;
   Alcotest.(check string) "singleton list" "x" (Prng.choice_list rng [ "x" ])
 
+(* --- pinned streams --- *)
+
+(* [name]'s first outputs from a fresh [create seed], rendered exactly
+   (floats in hex).  [split] renders two child outputs, then two of the
+   parent's; [copy] renders two outputs of a copy taken after one draw. *)
+let stream seed name =
+  let r = Prng.create seed in
+  let draws n f = String.concat " " (List.init n (fun _ -> f ())) in
+  let i64 () = Int64.to_string (Prng.int64 r) in
+  let hex x = Printf.sprintf "%h" x in
+  match name with
+  | "int64" -> draws 4 i64
+  | "bits30" -> draws 4 (fun () -> string_of_int (Prng.bits30 r))
+  | "int" ->
+      draws 4 (fun () -> string_of_int (Prng.int r 1000))
+      ^ " "
+      ^ draws 2 (fun () -> string_of_int (Prng.int r (1 lsl 40)))
+  | "unit_float" -> draws 4 (fun () -> hex (Prng.unit_float r))
+  | "geometric 0.013" -> draws 4 (fun () -> string_of_int (Prng.geometric r 0.013))
+  | "geometric 0.5" -> draws 4 (fun () -> string_of_int (Prng.geometric r 0.5))
+  | "gaussian" -> draws 4 (fun () -> hex (Prng.gaussian r))
+  | "split" ->
+      let child = Prng.split r in
+      let c = draws 2 (fun () -> Int64.to_string (Prng.int64 child)) in
+      c ^ " / " ^ draws 2 i64
+  | "copy" ->
+      ignore (Prng.int64 r);
+      let c = Prng.copy r in
+      ignore (Prng.int64 r);
+      draws 2 (fun () -> Int64.to_string (Prng.int64 c))
+  | _ -> invalid_arg name
+
+(* Outputs of the generator whose state was four mutable [int64] fields,
+   before it moved into 32 unboxed bytes: the stream must not change. *)
+let pins =
+  [
+    (0, "int64", "-7355399402456485196 -4652746763540216534 1900383378846508768 7684712102626143532");
+    (0, "bits30", "645601229 802916318 110616871 447309116");
+    (0, "int", "295 316 850 221 883469155501 953790337354");
+    (0, "unit_float", "0x1.33d8be6d96ebep-1 0x1.7edc3ef092ac8p-1 0x1.a5f849d4933ep-4 0x1.aa9653c498b4ap-2");
+    (0, "geometric 0.013", "71 106 9 42");
+    (0, "geometric 0.5", "2 2 1 1");
+    (0, "gaussian", "0x1.323a82a4bc9e5p-1 -0x1.ca445408b789ap-1 -0x1.3532999190f0ap+1 -0x1.8678d5e775bcep-1");
+    (0, "split", "5518286860253071851 5198098526511828694 / -4652746763540216534 1900383378846508768");
+    (0, "copy", "-4652746763540216534 1900383378846508768");
+    (42, "int64", "1546998764402558742 6990951692964543102 -5902157311460992607 -1389169964527427423");
+    (42, "bits30", "90047179 406926945 730191052 992881489");
+    (42, "int", "204 849 799 332 874076942789 419216772767");
+    (42, "unit_float", "0x1.5780b2e0c2ecp-4 0x1.84136619b444ep-2 0x1.5c2ea66473c93p-1 0x1.d9715a8e0766cp-1");
+    (42, "geometric 0.013", "7 37 88 198");
+    (42, "geometric 0.5", "1 1 2 4");
+    (42, "gaussian", "-0x1.73d2feb0fb377p-1 0x1.c5e21f7812a4cp-3 0x1.db514bfac5b4ep-2 0x1.79eb7c13cfccdp+0");
+    (42, "split", "-8150312660505607085 1184342940732292706 / 6990951692964543102 -5902157311460992607");
+    (42, "copy", "6990951692964543102 -5902157311460992607");
+    (-17, "int64", "2256674679307824848 754968568072093907 -6661904138601197562 229840854461931811");
+    (-17, "bits30", "131355754 43944954 685967966 13378498");
+    (-17, "int", "606 962 670 987 457522068404 1075505623092");
+    (-17, "unit_float", "0x1.f5151aa19c2e8p-4 0x1.4f45fd3490b8p-5 0x1.471852f6e5f12p-1 0x1.9847850a89bp-7");
+    (-17, "geometric 0.013", "10 4 78 1");
+    (-17, "geometric 0.5", "1 1 2 1");
+    (-17, "gaussian", "-0x1.15e1193b305b2p+0 -0x1.4ca2a833fff9cp-6 -0x1.7f4f16cff0822p-2 -0x1.83311782dab34p-1");
+    (-17, "split", "-3754325291134774738 3042212252492505480 / 754968568072093907 -6661904138601197562");
+    (-17, "copy", "754968568072093907 -6661904138601197562");
+  ]
+
+let test_pinned_streams () =
+  List.iter
+    (fun (seed, name, expected) ->
+      Alcotest.(check string) (Printf.sprintf "seed %d: %s" seed name) expected (stream seed name))
+    pins
+
+(* Sampling decisions over a Per_site plan with rates 0, 1 and 2/97..7/97
+   (reseeded and re-armed per "run"), and over a uniform plan, pinned as
+   the MD5 of the sampled trial indices. *)
+let test_pinned_sampler () =
+  let module S = Sbi_instrument.Sampler in
+  (* the sampled trials among [n], trial [i] visiting site [site_of i] *)
+  let sampled s ~n site_of =
+    String.concat ""
+      (List.filter_map
+         (fun i -> if S.should_sample s (site_of i) then Some (string_of_int i ^ ",") else None)
+         (List.init n Fun.id))
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let rates =
+    Array.init 64 (fun i -> match i mod 8 with 0 -> 0. | 1 -> 1. | k -> float_of_int k /. 97.)
+  in
+  let per_site = S.create ~seed:7 ~nsites:64 (S.Per_site rates) in
+  let runs =
+    List.init 10 (fun run ->
+        S.reseed per_site (run * 31);
+        S.begin_run per_site;
+        sampled per_site ~n:10_000 (fun i -> i * 7 mod 64))
+  in
+  Alcotest.(check string) "per-site plan" "ecfe85e859ec80da729daeb34aa844ae"
+    (md5 (String.concat "" runs));
+  let uniform = S.create ~seed:3 ~nsites:16 (S.Uniform 0.05) in
+  Alcotest.(check string) "uniform plan" "2adcb9ba3a89f38773e2557a3e94afab"
+    (md5 (sampled uniform ~n:100_000 (fun i -> i mod 16)))
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_draws_allocate_nothing () =
+  let rng = Prng.create 5 in
+  let zero name f = Alcotest.(check (float 0.)) name 0. (minor_words f) in
+  zero "10,000 int draws" (fun () ->
+      for _ = 1 to 10_000 do
+        ignore (Prng.int rng 1000)
+      done);
+  zero "10,000 geometric draws" (fun () ->
+      for _ = 1 to 10_000 do
+        ignore (Prng.geometric rng 0.013)
+      done);
+  let module S = Sbi_instrument.Sampler in
+  let rates = Array.init 64 (fun i -> float_of_int (i mod 8) /. 8.) in
+  let sampler = S.create ~nsites:64 (S.Per_site rates) in
+  zero "10,000 should_sample calls on a Per_site plan" (fun () ->
+      for i = 1 to 10_000 do
+        ignore (S.should_sample sampler (i mod 64))
+      done)
+
 let qcheck_int_bound =
   QCheck2.Test.make ~name:"prng int always within bound" ~count:500
     QCheck2.Gen.(pair (int_range 1 1_000_000) small_int)
@@ -197,4 +321,7 @@ let suite =
     Alcotest.test_case "sampling without replacement" `Quick test_sample_without_replacement;
     Alcotest.test_case "choice stays in range" `Quick test_choice;
     QCheck_alcotest.to_alcotest qcheck_int_bound;
+    Alcotest.test_case "pinned streams" `Quick test_pinned_streams;
+    Alcotest.test_case "pinned sampler decisions" `Quick test_pinned_sampler;
+    Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
   ]

@@ -308,6 +308,80 @@ let test_pred_texts_round_trip () =
         ds'.Dataset.runs.(i).Report.true_counts)
     ds.Dataset.runs
 
+(* --- recording pins --- *)
+
+module Harness = Sbi_experiments.Harness
+
+let sampling_plans =
+  [ ("always", Harness.No_sampling); ("uniform", Harness.Uniform 0.05); ("adaptive", Harness.Adaptive 150) ]
+
+(* MD5 of the codec bytes of runs 0-199 of each study under each plan
+   (quick config: seed 42; the adaptive plan trained on 150 runs), taken
+   when recording still built a truth array per observation and a fresh
+   accumulator per run.  Which sites a run observes, which predicates
+   hold and how often all reach these bytes. *)
+let collection_pins =
+  [
+    ("mossim", "always", "bffd86896e88abc53adce4eaf0029047");
+    ("mossim", "uniform", "ebc3f05a678e52a246c943d410349da1");
+    ("mossim", "adaptive", "3d3b7ad973838fe4da03e1ae21cc3021");
+    ("ccryptim", "always", "a99292144c983a4701c38b039cfb074c");
+    ("ccryptim", "uniform", "605fb9b598e4346821148f0fbe42eb6d");
+    ("ccryptim", "adaptive", "a99292144c983a4701c38b039cfb074c");
+    ("bcim", "always", "85bacec952ee889e1bb08986afe2bbb5");
+    ("bcim", "uniform", "35d4161e3082c4a543804e62448e9f0c");
+    ("bcim", "adaptive", "730444e291970a652a784b47ef14c51d");
+    ("exifim", "always", "b233a34192cb6cf86f5134b8585284dd");
+    ("exifim", "uniform", "1ccfa65e244422c68485420e0f2040cd");
+    ("exifim", "adaptive", "6f376c2f6621406d92f060665ac30a2b");
+    ("rhythmim", "always", "e14ad6995584d1259ba441e6061669c0");
+    ("rhythmim", "uniform", "f96add383f9241d689493f3833557c3b");
+    ("rhythmim", "adaptive", "e14ad6995584d1259ba441e6061669c0");
+  ]
+
+let reports_digest reports =
+  let b = Buffer.create 65_536 in
+  Array.iter (fun r -> Buffer.add_string b (Sbi_ingest.Codec.encode r)) reports;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_collection_pins () =
+  List.iter
+    (fun (study_name, plan, expected) ->
+      let study =
+        List.find (fun (s : Sbi_corpus.Study.t) -> s.Sbi_corpus.Study.name = study_name)
+          Sbi_corpus.Corpus.all
+      in
+      let sampling = List.assoc plan sampling_plans in
+      let _, _, spec = Harness.prepare ~config:{ Harness.quick_config with sampling } study in
+      let name = Printf.sprintf "%s, %s plan" study_name plan in
+      Alcotest.(check string) (name ^ ", sequential") expected
+        (reports_digest (Collect.collect_reports spec ~nruns:200));
+      Alcotest.(check string) (name ^ ", 2 domains") expected
+        (reports_digest (Sbi_ingest.Par_collect.collect ~domains:2 spec ~nruns:200).Dataset.runs))
+    collection_pins
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* Recording allocates nothing per observation, so an instrumented run
+   allocates about what the bare interpreter does (before truth masks:
+   6.4-14x on these runs). *)
+let test_recording_allocation () =
+  let t, plan, spec = Harness.prepare ~config:Harness.quick_config Sbi_corpus.Exifim.study in
+  let sampler = Sampler.create ~nsites:(Transform.num_sites t) plan in
+  (* size this domain's accumulator for exifim *)
+  ignore (Collect.run_one spec ~sampler ~run_index:0);
+  for run_index = 0 to 4 do
+    let instrumented = minor_words (fun () -> Collect.run_one spec ~sampler ~run_index) in
+    let bare = minor_words (fun () -> Collect.run_uninstrumented spec ~run_index) in
+    Alcotest.(check bool)
+      (Printf.sprintf "run %d: %.0f instrumented words <= 2 x %.0f bare" run_index instrumented bare)
+      true
+      (instrumented <= 2. *. bare)
+  done
+
 let suite =
   [
     Alcotest.test_case "report membership" `Quick test_report_membership;
@@ -326,4 +400,6 @@ let suite =
     Alcotest.test_case "oracle labelling" `Quick test_collect_oracle;
     Alcotest.test_case "uninstrumented run" `Quick test_run_uninstrumented;
     Alcotest.test_case "sampled observation subsets" `Quick test_sampled_collection_subsets;
+    Alcotest.test_case "collection pinned for every study and plan" `Slow test_collection_pins;
+    Alcotest.test_case "instrumented run allocates <= 2x bare" `Quick test_recording_allocation;
   ]
