@@ -1222,6 +1222,38 @@ let topk_after_append ctx =
     n (Sbi_index.Index.tail_count idx) (dt *. 1e3);
   [ ("index:topk-after-append", dt *. 1e9) ]
 
+(* What the first bitmap query of an epoch pays: on the same index plus a
+   10,000-report live tail, each round appends one report and runs one
+   affinity of the top retained predicate against the retained set, which
+   rebuilds the snapshot and decodes the tail postings it reads, then
+   runs the same affinity again in that epoch.  Medians over 50 rounds;
+   the entry is the first call. *)
+let affinity_after_append ctx =
+  let idx = Sbi_index.Index.open_ ~dir:ctx.sy_idx_dir in
+  let n = Array.length ctx.sy_reports in
+  for i = 0 to 9_999 do
+    Sbi_index.Index.append idx ctx.sy_reports.(i mod n)
+  done;
+  let retained = Sbi_core.Prune.retained (Sbi_index.Triage.counts idx) in
+  let selected = match retained with p :: _ -> p | [] -> 0 in
+  let affinity () = Sbi_index.Triage.affinity idx ~selected ~others:retained in
+  ignore (affinity ());
+  let rounds = 50 in
+  let first = Array.make rounds 0. and same = Array.make rounds 0. in
+  for i = 0 to rounds - 1 do
+    Sbi_index.Index.append idx ctx.sy_reports.((10_000 + i) mod n);
+    first.(i) <- snd (time affinity);
+    same.(i) <- snd (time affinity)
+  done;
+  let tail = Sbi_index.Index.tail_count idx in
+  let first = median first and same = median same in
+  Printf.printf
+    "affinity after append (%d-run index + %d-report tail, %d retained, %d rounds): first call \
+     median %.3f ms, same epoch %.3f ms; tail postings %.1f bytes per report\n"
+    n tail (List.length retained) rounds (first *. 1e3) (same *. 1e3)
+    (float_of_int (Sbi_index.Index.tail_bytes idx) /. float_of_int tail);
+  [ ("index:affinity-after-append", first *. 1e9) ]
+
 (* A cold analysis as a fresh process meets it: a new [Index.open_]
    (empty posting cache) and [Triage.analyze] on the synthetic corpus,
    timed together, with the number of postings the analysis loaded. *)
@@ -1483,6 +1515,8 @@ let () =
         print_index_scaling ctx;
         Printf.eprintf "[bench] timing topk right after an append on a 10000-report tail...\n%!";
         let append_entries = topk_after_append ctx in
+        Printf.eprintf "[bench] timing affinity right after an append on a 10000-report tail...\n%!";
+        let affinity_entries = affinity_after_append ctx in
         Printf.eprintf "[bench] timing a cold open + analysis...\n%!";
         let cold_entries = analyze_cold ctx in
         Printf.eprintf "[bench] timing single-RPC vs batched group-commit ingest...\n%!";
@@ -1499,7 +1533,7 @@ let () =
         let obs_entries, _ = obs_overhead ctx in
         Printf.eprintf "[bench] timing per-formula topk and sbfl dispatch overhead...\n%!";
         let sbfl_entries, _, _ = sbfl_overhead ctx in
-        append_entries @ cold_entries @ ingest_entries @ conn_entries @ fault_entries
+        append_entries @ affinity_entries @ cold_entries @ ingest_entries @ conn_entries @ fault_entries
         @ obs_entries @ sbfl_entries)
   in
   Printf.eprintf "[bench] million-run scale: tiered store, lazy open, compaction (%d runs)...\n%!"

@@ -20,8 +20,19 @@ type build_stats = {
 
 type open_stats = { segments_loaded : int; segments_corrupt : int; records_loaded : int }
 
+(* The live tail: one append-only posting buffer per site, one per
+   predicate and one of the failing runs, laid out as {!Snapshot.tail}
+   documents, each in the segment heap's bare delta varints.  A buffer
+   only grows: an append writes past every byte a snapshot captured, and
+   a full buffer is copied into fresh bytes, so a capture stays valid.
+   Posting [j]'s write state sits in [t_state] at [3j]: bytes written,
+   its last position (0 while empty), and the last offset at which any
+   gap still fits ([Bytes.length] less {!Codec.max_varint_bytes}) — one
+   cache line per posting, where separate arrays and the buffer's own
+   header cost the fold three or four. *)
 type tail = {
-  mutable t_reports : Report.t array;
+  t_bufs : Bytes.t array;
+  t_state : int array;
   mutable t_len : int;
   t_agg : Aggregator.t;
 }
@@ -286,7 +297,14 @@ let build ?io ~log ~dir () =
 
 (* --- opening --- *)
 
-let empty_tail meta = { t_reports = [||]; t_len = 0; t_agg = Aggregator.of_meta meta }
+let empty_tail (meta : Dataset.t) =
+  let n = meta.Dataset.nsites + meta.Dataset.npreds + 1 in
+  {
+    t_bufs = Array.make n Bytes.empty;
+    t_state = Array.init (3 * n) (fun i -> if i mod 3 = 2 then -Codec.max_varint_bytes else 0);
+    t_len = 0;
+    t_agg = Aggregator.of_meta meta;
+  }
 
 (* Lazy open: each segment file is mapped once and contributes its footer
    (a few hundred bytes) and a footer-derived aggregate — postings stay in
@@ -348,16 +366,19 @@ let cache_stats t = Sbi_store.Lru.stats t.cache
 (* --- live tail --- *)
 
 (* Ids must be in range and strictly ascending, as {!Report.t} documents:
-   the tail aggregate counts a repeated id once per occurrence while the
-   tail's postings keep it once. *)
+   [append] writes the tail's postings unchecked, and a repeated id would
+   put a zero gap into its tail posting, which the delta encoding cannot
+   hold, and count twice in the tail aggregate. *)
 let validate_ids what bound ids =
-  Array.iteri
-    (fun i id ->
+  let prev = ref (-1) in
+  for i = 0 to Array.length ids - 1 do
+    let id = Array.unsafe_get ids i in
+    if id <= !prev || id >= bound then
       if id < 0 || id >= bound then
-        invalid_arg (Printf.sprintf "Index.append: %s %d out of range" what id);
-      if i > 0 && id <= ids.(i - 1) then
-        invalid_arg (Printf.sprintf "Index.append: %s %d does not follow %d" what id ids.(i - 1)))
-    ids
+        invalid_arg (Printf.sprintf "Index.append: %s %d out of range" what id)
+      else invalid_arg (Printf.sprintf "Index.append: %s %d does not follow %d" what id !prev);
+    prev := id
+  done
 
 let validate_report meta (r : Report.t) =
   if r.Report.run_id < 0 then invalid_arg "Index.append: negative run id";
@@ -366,23 +387,56 @@ let validate_report meta (r : Report.t) =
 
 let validate t r = validate_report t.meta r
 
-let append t r =
+(* Append tail position [pos] to posting [j], a valid posting id: its gap
+   from the posting's last position, into a buffer grown first when the
+   gap might not fit. *)
+let push tail j pos =
+  let st = tail.t_state and k = 3 * j in
+  let used = st.(k) and buf = tail.t_bufs.(j) in
+  let buf =
+    if used <= st.(k + 2) then buf
+    else begin
+      let grown = Bytes.create (max 16 (2 * Bytes.length buf)) in
+      Bytes.blit buf 0 grown 0 used;
+      tail.t_bufs.(j) <- grown;
+      st.(k + 2) <- Bytes.length grown - Codec.max_varint_bytes;
+      grown
+    end
+  in
+  st.(k) <- Codec.put_varint buf used (pos - st.(k + 1));
+  st.(k + 1) <- pos
+
+(* [push] for each of [ids], validated ids of postings [off ..], inline
+   for the common case: a one-byte gap into a buffer with room. *)
+let push_ids tail ids ~off pos =
+  let st = tail.t_state and bufs = tail.t_bufs in
+  for i = 0 to Array.length ids - 1 do
+    let j = off + Array.unsafe_get ids i in
+    let k = 3 * j in
+    let used = Array.unsafe_get st k and gap = pos - Array.unsafe_get st (k + 1) in
+    if gap < 0x80 && used <= Array.unsafe_get st (k + 2) then begin
+      Bytes.unsafe_set (Array.unsafe_get bufs j) used (Char.unsafe_chr gap);
+      Array.unsafe_set st k (used + 1);
+      Array.unsafe_set st (k + 1) pos
+    end
+    else push tail j pos
+  done
+
+let append t (r : Report.t) =
   validate_report t.meta r;
-  let tail = t.tail in
-  if tail.t_len = Array.length tail.t_reports then begin
-    let cap = max 16 (2 * Array.length tail.t_reports) in
-    let grown = Array.make cap r in
-    Array.blit tail.t_reports 0 grown 0 tail.t_len;
-    tail.t_reports <- grown
-  end;
-  tail.t_reports.(tail.t_len) <- r;
-  tail.t_len <- tail.t_len + 1;
+  let tail = t.tail and nsites = t.meta.Dataset.nsites in
+  let pos = tail.t_len in
+  push_ids tail r.Report.observed_sites ~off:0 pos;
+  push_ids tail r.Report.true_preds ~off:nsites pos;
+  if Report.outcome_is_failure r.Report.outcome then push tail (nsites + t.meta.Dataset.npreds) pos;
+  tail.t_len <- pos + 1;
   Aggregator.observe tail.t_agg r;
   (* the write side of the epoch protocol: any snapshot built before this
      append is now stale (readers still holding it stay consistent) *)
   t.epoch <- t.epoch + 1
 
 let tail_count t = t.tail.t_len
+let tail_bytes t = Array.fold_left (fun n buf -> n + Bytes.length buf) 0 t.tail.t_bufs
 let epoch t = t.epoch
 
 (* The tail record is shared, not copied: [from] must take no further
@@ -399,13 +453,20 @@ let snapshot t =
          case and must stay free of instrumentation.  A rebuild costs
          O(npreds + nsites) however long the tail: the sealed aggregate
          is fixed at open, [append] keeps the tail's current, and the
-         tail view defers its bitmaps to the first kernel that needs them *)
+         tail is captured as its buffers and their lengths *)
+      let tail = t.tail in
       let s =
         Sbi_obs.Trace.with_span ~name:"index.snapshot"
           ~args:(Printf.sprintf "epoch=%d" t.epoch) (fun () ->
             Snapshot.build ~epoch:t.epoch ~meta:t.meta
-              ~counts:(Aggregator.to_counts (Aggregator.merge t.sealed t.tail.t_agg))
-              ~tail:(t.tail.t_reports, t.tail.t_len) t.segments)
+              ~counts:(Aggregator.to_counts (Aggregator.merge t.sealed tail.t_agg))
+              ~tail:
+                {
+                  Snapshot.bufs = Array.copy tail.t_bufs;
+                  used = Array.init (Array.length tail.t_bufs) (fun j -> tail.t_state.(3 * j));
+                  len = tail.t_len;
+                }
+              t.segments)
       in
       t.snap <- Some s;
       s

@@ -66,9 +66,11 @@ type t = {
 }
 
 (** Live, unindexed reports accepted since {!open_} (the serving path's
-    ingest buffer).  Folded into every query; durably persisted by the
-    caller (the server appends to the source log, and the next {!build}
-    picks them up). *)
+    ingest buffer), kept as their running aggregate plus append-only
+    posting buffers — one per site, one per predicate and one of the
+    failing runs, in the segment heap's delta varints — not as reports.
+    Folded into every query; durably persisted by the caller (the server
+    appends to the source log, and the next {!build} picks them up). *)
 and tail
 
 val build : ?io:Sbi_fault.Io.t -> log:string -> dir:string -> unit -> build_stats
@@ -98,10 +100,16 @@ val validate : t -> Sbi_runtime.Report.t -> unit
     state (durable log, live tail) is touched. *)
 
 val append : t -> Sbi_runtime.Report.t -> unit
-(** Fold one live report into the in-memory tail.  @raise Invalid_argument
-    as {!validate}, before anything changes. *)
+(** Fold one live report into the in-memory tail: its aggregate, and its
+    position appended to the posting of each observed site, each true
+    predicate and (when it failed) the failing runs.  The report itself
+    is not kept.  @raise Invalid_argument as {!validate}, before anything
+    changes. *)
 
 val tail_count : t -> int
+
+val tail_bytes : t -> int
+(** Bytes allocated by the tail's posting buffers (the [stats] gauge). *)
 
 val epoch : t -> int
 (** Monotone version of the index's run population: starts at 0 on
@@ -121,9 +129,11 @@ val snapshot : t -> Snapshot.t
     repeated queries between ingests reuse the merged aggregate and the
     warm posting cache.  A rebuild after an append costs
     O(npreds + nsites), not a pass over the tail: its counts are the
-    sealed aggregate plus the tail aggregate {!append} maintains, and
-    the tail's bitmaps are encoded only when a bitmap kernel (affinity,
-    elimination, co-occurrence) first needs them, once per snapshot.
+    sealed aggregate plus the tail aggregate {!append} maintains, and it
+    captures the tail's posting buffers and their lengths.  A tail
+    posting is decoded into a bitmap only when a bitmap kernel
+    (affinity, elimination, co-occurrence) first needs it, once per
+    snapshot.
 
     Not linearizable on its own: concurrent callers must serialize
     [snapshot] against [append] (the server takes its write lock for

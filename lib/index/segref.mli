@@ -1,17 +1,15 @@
-(** Uniform segment handle for the read path: an in-memory
-    {!Sbi_store.Segment.t} (the live tail) or a lazily read segment file,
-    mapped once and opened from its footer.
+(** Segment handle for the read path: a segment file, mapped once and
+    opened from its footer.
 
-    A disk handle holds the file's one {!Sbi_store.Segment.mapping}, so it
+    A handle holds the file's one {!Sbi_store.Segment.mapping}, so it
     keeps answering after compaction unlinks the file, for as long as a
     snapshot references it; the GC unmaps the file with the last
-    reference.  Disk-backed postings materialize on first touch as
-    compressed {!Sbi_store.Rbitmap}s through a shared LRU {!cache}, so an
-    index far larger than RAM serves triage queries in bounded memory;
-    in-memory segments memoize their conversions per reference.  All
-    accessors are safe to call from multiple domains: memoization races
-    are benign (immutable values, atomic pointer stores, last writer
-    wins). *)
+    reference.  Postings materialize on first touch as compressed
+    {!Sbi_store.Rbitmap}s through a shared LRU {!cache}, so an index far
+    larger than RAM serves triage queries in bounded memory.  All
+    accessors are safe to call from multiple domains: the outcome
+    bitmap's memo races benignly (an immutable value, an atomic pointer
+    store, last writer wins). *)
 
 type cache = (string * bool * int, Sbi_store.Rbitmap.t) Sbi_store.Lru.t
 (** Keyed by (segment path, is-predicate, posting id). *)
@@ -21,8 +19,6 @@ val create_cache : unit -> cache
     ({!Sbi_store.Rbitmap.memory_words}), ~32 MB. *)
 
 type t
-
-val of_segment : file:string -> Sbi_store.Segment.t -> t
 
 val of_disk :
   cache:cache -> path:string -> file:string -> Sbi_store.Segment.mapping -> Sbi_store.Segment.footer -> t

@@ -10,6 +10,8 @@ type view = {
   v_site_bits : int -> Rbitmap.t;
 }
 
+type tail = { bufs : Bytes.t array; used : int array; len : int }
+
 type t = {
   epoch : int;
   meta : Dataset.t;
@@ -17,49 +19,54 @@ type t = {
   counts : Sbi_core.Counts.t;
 }
 
-(* [segref ()] is asked for the segment on every access, which lets the
-   tail's be built on first use *)
-let view ~nruns segref =
+let segment_view sr =
   {
-    v_nruns = nruns;
-    v_failing = (fun () -> Segref.failing (segref ()));
-    v_pred_bits = (fun i -> Segref.pred_bits (segref ()) i);
-    v_site_bits = (fun i -> Segref.site_bits (segref ()) i);
+    v_nruns = Segref.nruns sr;
+    v_failing = (fun () -> Segref.failing sr);
+    v_pred_bits = Segref.pred_bits sr;
+    v_site_bits = Segref.site_bits sr;
   }
 
-(* The live tail as a view.  [reports.(0 .. len - 1)] were captured under
-   the index's write lock; appends only ever write at or past [len] (or
-   into a freshly grown array), so those slots never change under this
-   snapshot.  The tail's bitmaps are encoded by the first kernel that
-   needs one, at most once per snapshot even when several domains get
-   there together: the mutex serializes the build, the atomic publishes
-   it, and every later access is a single atomic load. *)
-let tail_view (meta : Dataset.t) reports len =
-  let built = Atomic.make None and lock = Mutex.create () in
-  let segref () =
-    match Atomic.get built with
-    | Some sr -> sr
-    | None ->
-        Mutex.protect lock (fun () ->
-            match Atomic.get built with
-            | Some sr -> sr
-            | None ->
-                let sr =
-                  Sbi_obs.Trace.with_span ~name:"index.tail_bits"
-                    ~args:(Printf.sprintf "runs=%d" len) (fun () ->
-                      Segref.of_segment ~file:"<tail>"
-                        (Segment.of_reports ~nsites:meta.Dataset.nsites
-                           ~npreds:meta.Dataset.npreds ~source_shard:(-1) ~start_off:0
-                           ~end_off:0 (Array.sub reports 0 len)))
-                in
-                Atomic.set built (Some sr);
-                sr)
+(* The live tail as a view over its captured posting buffers.  Bytes
+   below [used.(j)] were written before the capture and are never written
+   again — an append writes past them, or into a fresh buffer — so any
+   domain may read them as a string.  A posting is decoded when a kernel
+   first asks for it and memoized for the snapshot; racing readers may
+   both decode it (an immutable value, an atomic pointer store, last
+   writer wins). *)
+let tail_view (meta : Dataset.t) { bufs; used; len } =
+  let nsites = meta.Dataset.nsites in
+  let decode j =
+    Sbi_obs.Trace.with_span ~name:"index.tail_posting" (fun () ->
+        let s = Bytes.unsafe_to_string bufs.(j) and limit = used.(j) in
+        Segment.read_deltas s (ref 0) limit ~count:(Segment.count_deltas s 0 limit) ~nruns:len)
   in
-  view ~nruns:len segref
+  let memo = Array.make (Array.length bufs) None and failing = ref None in
+  let bits j =
+    match memo.(j) with
+    | Some r -> r
+    | None ->
+        let r = Rbitmap.of_positions len (decode j) in
+        memo.(j) <- Some r;
+        r
+  in
+  {
+    v_nruns = len;
+    v_failing =
+      (fun () ->
+        match !failing with
+        | Some b -> b
+        | None ->
+            let b = Bitset.of_positions len (decode (nsites + meta.Dataset.npreds)) in
+            failing := Some b;
+            b);
+    v_pred_bits = (fun p -> bits (nsites + p));
+    v_site_bits = bits;
+  }
 
-let build ~epoch ~meta ~counts ~tail:(reports, len) segrefs =
-  let views = Array.map (fun sr -> view ~nruns:(Segref.nruns sr) (fun () -> sr)) segrefs in
-  let views = if len = 0 then views else Array.append views [| tail_view meta reports len |] in
+let build ~epoch ~meta ~counts ~tail segrefs =
+  let views = Array.map segment_view segrefs in
+  let views = if tail.len = 0 then views else Array.append views [| tail_view meta tail |] in
   { epoch; meta; views; counts }
 
 let epoch t = t.epoch

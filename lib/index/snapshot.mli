@@ -9,13 +9,13 @@
     bitmaps on demand ({!Segref} materializes them through its LRU
     cache), so opening a snapshot of a million-run index allocates
     almost nothing until a kernel actually needs a posting.  The tail
-    view encodes its bitmaps on first use, once per snapshot; queries
-    that read only the aggregate (top-k, predicate detail) never pay
-    for it.  Writers (ingest) bump the owning index's epoch; a snapshot
-    whose [epoch] no longer matches is simply stale, never wrong, and
-    readers holding it keep computing on a consistent corpus while the
-    next snapshot is built — readers never block ingest, ingest never
-    blocks readers. *)
+    view decodes one posting of the tail's captured buffers the first
+    time a kernel asks for it, once per snapshot; queries that read only
+    the aggregate (top-k, predicate detail) decode none.  Writers
+    (ingest) bump the owning index's epoch; a snapshot whose [epoch] no
+    longer matches is simply stale, never wrong, and readers holding it
+    keep computing on a consistent corpus while the next snapshot is
+    built — readers never block ingest, ingest never blocks readers. *)
 
 type view = {
   v_nruns : int;
@@ -25,6 +25,17 @@ type view = {
   v_site_bits : int -> Sbi_store.Rbitmap.t;  (** per-site observed bitmaps *)
 }
 
+type tail = {
+  bufs : Bytes.t array;
+      (** posting -> its positions as bare delta varints (the posting
+          bytes {!Sbi_store.Segment} documents): site [i] is posting
+          [i], predicate [p] is [nsites + p], and the failing runs are
+          [nsites + npreds] *)
+  used : int array;  (** posting -> bytes of [bufs] it fills *)
+  len : int;  (** runs in the tail *)
+}
+(** The live tail's posting buffers, captured under their writer's lock. *)
+
 type t = {
   epoch : int;
   meta : Sbi_runtime.Dataset.t;
@@ -33,19 +44,14 @@ type t = {
 }
 
 val build :
-  epoch:int ->
-  meta:Sbi_runtime.Dataset.t ->
-  counts:Sbi_core.Counts.t ->
-  tail:Sbi_runtime.Report.t array * int ->
-  Segref.t array ->
-  t
-(** Wrap [segrefs] in lazy views, followed by a view of the first [n]
-    reports of [tail = (reports, n)] when [n > 0].  [counts] must be the
-    merged aggregate of exactly those runs.  The caller must guarantee
-    that [reports.(0 .. n - 1)] never change afterwards (an append-only
-    buffer captured under its writer's lock): the tail view reads them
-    when a bitmap kernel first needs them, safely from any domain, and
-    encodes them exactly once. *)
+  epoch:int -> meta:Sbi_runtime.Dataset.t -> counts:Sbi_core.Counts.t -> tail:tail -> Segref.t array -> t
+(** Wrap [segrefs] in lazy views, followed by a view of [tail] when it
+    holds a run.  [counts] must be the merged aggregate of exactly those
+    runs.  The caller must guarantee that no byte of [tail.bufs.(j)]
+    below [tail.used.(j)] changes afterwards (append-only buffers that
+    grow into fresh bytes): the tail view reads them when a bitmap
+    kernel first needs a posting, from any domain, and memoizes the
+    decoded bitmap for this snapshot. *)
 
 val epoch : t -> int
 val counts : t -> Sbi_core.Counts.t

@@ -19,6 +19,20 @@ let add_varint buf n =
   done;
   Buffer.add_char buf (Char.unsafe_chr !n)
 
+(* nine 7-bit groups hold any non-negative int *)
+let max_varint_bytes = 9
+
+let put_varint b off n =
+  if n < 0 then invalid_arg "Codec.put_varint: negative";
+  let off = ref off and n = ref n in
+  while !n >= 0x80 do
+    Bytes.set b !off (Char.unsafe_chr (0x80 lor (!n land 0x7f)));
+    incr off;
+    n := !n lsr 7
+  done;
+  Bytes.set b !off (Char.unsafe_chr !n);
+  !off + 1
+
 (* Reads a varint from [s] at [!pos], bounded by [limit]; advances [pos].
    Nine 7-bit groups reach bit 62, the sign bit of a 63-bit int, so a
    final ninth byte of 0x40 to 0x7f would come back negative: a count or

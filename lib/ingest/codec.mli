@@ -64,6 +64,14 @@ val read_framed : string -> pos:int -> frame
 val add_varint : Buffer.t -> int -> unit
 (** Unsigned LEB128. @raise Invalid_argument on negative input. *)
 
+val max_varint_bytes : int
+(** Most bytes one varint takes. *)
+
+val put_varint : Bytes.t -> int -> int -> int
+(** [put_varint b off n] writes [n] as {!add_varint} does at [off] and
+    returns the offset just past it; [b] must have {!max_varint_bytes}
+    bytes from [off].  @raise Invalid_argument on negative input. *)
+
 val read_varint : string -> int ref -> int -> int
 (** [read_varint s pos limit] reads at [!pos], advancing [pos]; input bytes
     must lie below [limit].  @raise Corrupt on overrun, or when the value

@@ -14,15 +14,26 @@ let blocks ~nruns ~workers =
       let hi = lo + per + (if d < rem then 1 else 0) in
       (d, lo, hi))
 
+(* The caller runs block 0 and [workers - 1] spawned domains run the
+   rest: one spawn fewer, and one block on a domain that is already warm
+   (a freshly spawned domain runs the same runs markedly slower).  Every
+   spawned domain is joined before the first failure in block order is
+   re-raised, so none outlives the call. *)
 let spawn_blocks ?(seed = 0xc0ffee) ?(first_run = 0) ?domains spec ~nruns ~f =
   let workers = match domains with Some d when d > 0 -> d | _ -> default_domains () in
-  blocks ~nruns ~workers
-  |> List.map (fun (d, lo, hi) ->
-         Domain.spawn (fun () ->
-             f d
-               (Collect.collect_reports ~seed ~first_run:(first_run + lo) spec
-                  ~nruns:(hi - lo))))
-  |> List.map Domain.join
+  let run (d, lo, hi) =
+    f d (Collect.collect_reports ~seed ~first_run:(first_run + lo) spec ~nruns:(hi - lo))
+  in
+  let attempt g = try Ok (g ()) with e -> Error (e, Printexc.get_raw_backtrace ()) in
+  let results =
+    match blocks ~nruns ~workers with
+    | [] -> []
+    | first :: rest ->
+        let spawned = List.map (fun b -> Domain.spawn (fun () -> run b)) rest in
+        let mine = attempt (fun () -> run first) in
+        mine :: List.map (fun d -> attempt (fun () -> Domain.join d)) spawned
+  in
+  List.map (function Ok r -> r | Error (e, bt) -> Printexc.raise_with_backtrace e bt) results
 
 let collect ?seed ?first_run ?domains spec ~nruns =
   let chunks = spawn_blocks ?seed ?first_run ?domains spec ~nruns ~f:(fun _ rs -> rs) in

@@ -1,6 +1,9 @@
 (** Parallel feedback collection across OCaml 5 domains.
 
-    Run indices are fanned out in contiguous blocks, one per domain.  Each
+    Run indices are fanned out in contiguous blocks, one per domain: the
+    calling domain runs the first block and [domains - 1] spawned ones
+    run the rest.  When a run raises, every spawned domain is joined
+    before the first exception (in block order) reaches the caller.  Each
     domain owns a private sampler, and every run's sampling stream is keyed
     by {!Sbi_runtime.Collect.run_seed} — a pure function of the collection
     seed and the run index — so the merged result is byte-identical to

@@ -126,12 +126,14 @@ let run_seed ~seed ~run_index =
 let run_one spec ~sampler ~run_index =
   let t = spec.transform in
   let sites = t.Transform.sites in
+  (* the caller's input generator runs before the domain's accumulator is
+     taken: one that raises must not leave it busy *)
+  let args = spec.gen_input run_index in
   let acc = begin_accum t in
   Sampler.begin_run sampler;
   let hooks =
     Observe.hooks t ~visit:(Sampler.should_sample sampler) ~record:(record acc sites)
   in
-  let args = spec.gen_input run_index in
   let config =
     {
       Interp.args;

@@ -200,6 +200,7 @@ let handle_stats t =
       Printf.sprintf "failures %d" (Index.num_failures t.index);
       Printf.sprintf "segments %d" (Array.length t.index.Index.segments);
       Printf.sprintf "tail_runs %d" (Index.tail_count t.index);
+      Printf.sprintf "tail_bytes %d" (Index.tail_bytes t.index);
       Printf.sprintf "ingested %d" t.ingested_n;
       Printf.sprintf "compactions %d" t.compactions;
       Printf.sprintf "uptime_s %.1f" (Unix.gettimeofday () -. t.started_at);

@@ -24,47 +24,48 @@ let of_reports ~nsites ~npreds ~source_shard ~start_off ~end_off reports =
   let nruns = Array.length reports in
   let run_ids = Array.map (fun (r : Report.t) -> r.Report.run_id) reports in
   let failing = Bitset.create nruns in
-  let site_acc = Array.make (max nsites 1) [] in
-  let pred_acc = Array.make (max npreds 1) [] in
+  Array.iteri
+    (fun pos (r : Report.t) ->
+      if Report.outcome_is_failure r.Report.outcome then Bitset.set failing pos)
+    reports;
   (* Postings record membership, not multiplicity (counts live in
      [true_counts]), so a site or predicate repeated within one report
      must contribute a single position — duplicates would break the
-     strictly-increasing delta encoding. *)
-  let push acc i pos =
-    match acc.(i) with
-    | hd :: _ when hd = pos -> ()
-    | _ -> acc.(i) <- pos :: acc.(i)
+     strictly-increasing delta encoding.  Two passes over flat arrays:
+     the first sizes each posting, the second fills it, and each skips
+     an id whose posting already ends at the current position. *)
+  let invert what n ids_of =
+    let len = Array.make (max n 1) 0 and last = Array.make (max n 1) (-1) in
+    Array.iteri
+      (fun pos r ->
+        Array.iter
+          (fun id ->
+            if id < 0 || id >= n then
+              invalid_arg (Printf.sprintf "Segment.of_reports: %s %d out of range" what id);
+            if last.(id) <> pos then begin
+              last.(id) <- pos;
+              len.(id) <- len.(id) + 1
+            end)
+          (ids_of r))
+      reports;
+    let postings = Array.init n (fun i -> Array.make len.(i) 0) in
+    Array.fill len 0 (Array.length len) 0;
+    Array.iteri
+      (fun pos r ->
+        Array.iter
+          (fun id ->
+            let k = len.(id) in
+            if k = 0 || postings.(id).(k - 1) <> pos then begin
+              postings.(id).(k) <- pos;
+              len.(id) <- k + 1
+            end)
+          (ids_of r))
+      reports;
+    postings
   in
-  Array.iteri
-    (fun pos (r : Report.t) ->
-      if Report.outcome_is_failure r.Report.outcome then Bitset.set failing pos;
-      Array.iter
-        (fun site ->
-          if site < 0 || site >= nsites then
-            invalid_arg (Printf.sprintf "Segment.of_reports: site %d out of range" site);
-          push site_acc site pos)
-        r.Report.observed_sites;
-      Array.iter
-        (fun pred ->
-          if pred < 0 || pred >= npreds then
-            invalid_arg (Printf.sprintf "Segment.of_reports: predicate %d out of range" pred);
-          push pred_acc pred pos)
-        r.Report.true_preds)
-    reports;
-  (* positions were consed in increasing order, so a reverse restores it *)
-  let to_postings acc n = Array.init n (fun i -> Array.of_list (List.rev acc.(i))) in
-  {
-    source_shard;
-    start_off;
-    end_off;
-    nsites;
-    npreds;
-    nruns;
-    run_ids;
-    failing;
-    site_obs = to_postings site_acc nsites;
-    pred_true = to_postings pred_acc npreds;
-  }
+  let site_obs = invert "site" nsites (fun (r : Report.t) -> r.Report.observed_sites) in
+  let pred_true = invert "predicate" npreds (fun (r : Report.t) -> r.Report.true_preds) in
+  { source_shard; start_off; end_off; nsites; npreds; nruns; run_ids; failing; site_obs; pred_true }
 
 let aggregator ~pred_site t =
   let agg = Aggregator.empty ~nsites:t.nsites ~npreds:t.npreds ~pred_site in
@@ -194,8 +195,10 @@ let parse_bitmap s off nruns =
   done;
   failing
 
-(* Bare delta sequence, no count prefix: lengths and counts live in the
-   footer directory. *)
+(* A posting's bytes: bare delta varints, no count prefix — the first
+   position, then each gap to the one before.  The file heap writes whole
+   postings ([add_deltas]; lengths and counts live in the footer
+   directory); the live tail writes one gap at a time. *)
 let add_deltas buf posting =
   let prev = ref 0 in
   Array.iteri
@@ -203,6 +206,14 @@ let add_deltas buf posting =
       Codec.add_varint buf (if i = 0 then pos else pos - !prev);
       prev := pos)
     posting
+
+(* each varint ends at its one byte below 0x80 *)
+let count_deltas s pos limit =
+  let n = ref 0 in
+  for i = pos to limit - 1 do
+    if Char.code s.[i] < 0x80 then incr n
+  done;
+  !n
 
 let read_deltas s pos limit ~count ~nruns =
   let posting = Array.make count 0 in

@@ -91,6 +91,24 @@ val load : string -> t
 (** [decode] of the file at a path (compaction, fsck, repair).
     @raise Corrupt as {!decode}, or when the file cannot be read. *)
 
+(** {1 Posting bytes}
+
+    A posting is stored as bare delta varints ({!Sbi_ingest.Codec}'s
+    LEB128), with no count prefix: its first position, then each gap to
+    the position before.  The file's posting heap and the live tail's
+    append-only posting buffers ({!Sbi_index.Index}) share this encoding,
+    so a tail posting's bytes are a valid heap entry as they stand. *)
+
+val count_deltas : string -> int -> int -> int
+(** [count_deltas s pos limit]: the entries whose bytes fill
+    [s.[pos .. limit - 1]]. *)
+
+val read_deltas : string -> int ref -> int -> count:int -> nruns:int -> int array
+(** [read_deltas s pos limit ~count ~nruns] decodes [count] positions
+    from [!pos], advancing [pos].
+    @raise Corrupt when a position repeats or falls at or past [nruns],
+    and {!Sbi_ingest.Codec.Corrupt} when its bytes run past [limit]. *)
+
 (** {1 Lazy access}
 
     A segment file is mapped whole and once ({!map}); the readers below

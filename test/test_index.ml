@@ -630,30 +630,33 @@ let with_live_index ~seed ~live f =
       in
       f open_live)
 
-(* Aggregate-only queries never build the tail's bitmaps; the first bitmap
-   query builds them exactly once per snapshot, and a second one at the
-   same epoch reuses them. *)
+(* Aggregate-only queries decode no tail posting; the first bitmap query
+   decodes the postings it reads, each once per snapshot, a second one at
+   the same epoch decodes none, and the next epoch's snapshot decodes
+   afresh. *)
 let test_tail_bits_lazy () =
   with_live_index ~seed:31 ~live:1 (fun open_live ->
       let idx = open_live () in
+      let decoded () = count_spans "index.tail_posting" in
       with_tracing (fun () ->
           ignore (Triage.topk ~k:5 idx);
           ignore (Triage.topk_f ~k:5 ~formula:Sbi_sbfl.Formula.importance idx);
           ignore (Triage.pred_detail idx ~pred:3);
           ignore (Triage.pred_score idx ~pred:3 ~formula:Sbi_sbfl.Formula.importance);
-          Alcotest.(check int) "topk and pred build no tail bitmaps" 0
-            (count_spans "index.tail_bits");
+          Alcotest.(check int) "topk and pred decode no tail posting" 0 (decoded ());
           ignore (Triage.affinity idx ~selected:3 ~others:all_preds);
-          Alcotest.(check int) "first affinity builds them once" 1
-            (count_spans "index.tail_bits");
+          let first = decoded () in
+          Alcotest.(check bool) "first affinity decodes each posting it reads once" true
+            (first > 0 && first <= nsites + npreds + 1);
           ignore (Triage.affinity idx ~selected:3 ~others:all_preds);
-          Alcotest.(check int) "second affinity at the same epoch reuses them" 1
-            (count_spans "index.tail_bits")))
+          Alcotest.(check int) "second affinity at the same epoch decodes none" first (decoded ());
+          Index.append idx (mk_report ~sites:[| 1 |] ~preds:[| 3 |] 1000);
+          ignore (Triage.affinity idx ~selected:3 ~others:all_preds);
+          Alcotest.(check bool) "the next epoch decodes afresh" true (decoded () > first)))
 
 (* First use of the tail view from 4 domains: four racers line up and
-   reach the not-yet-built bitmaps together, exactly one builds them, and
-   every answer matches the sequential computation on an identical
-   index. *)
+   reach the not-yet-decoded postings together, and every answer matches
+   the sequential computation on an identical index. *)
 let test_tail_view_concurrent_first_use () =
   with_live_index ~seed:32 ~live:25 (fun open_live ->
       let racers = 4 in
@@ -670,22 +673,109 @@ let test_tail_view_concurrent_first_use () =
       in
       let snap = Index.snapshot (open_live ()) in
       let arrived = Atomic.make 0 in
-      with_tracing (fun () ->
-          (* one racer per domain; each waits (bounded) for the others *)
-          let parallel =
-            Array.init racers (fun i ->
-                Domain.spawn (fun () ->
-                    Atomic.incr arrived;
-                    let deadline = Unix.gettimeofday () +. 2.0 in
-                    while Atomic.get arrived < racers && Unix.gettimeofday () < deadline do
-                      Unix.sleepf 0.0001
-                    done;
-                    answers snap i))
-            |> Array.map Domain.join
+      (* one racer per domain; each waits (bounded) for the others *)
+      let parallel =
+        Array.init racers (fun i ->
+            Domain.spawn (fun () ->
+                Atomic.incr arrived;
+                let deadline = Unix.gettimeofday () +. 2.0 in
+                while Atomic.get arrived < racers && Unix.gettimeofday () < deadline do
+                  Unix.sleepf 0.0001
+                done;
+                answers snap i))
+        |> Array.map Domain.join
+      in
+      Alcotest.(check bool) "parallel first use = sequential" true (parallel = sequential))
+
+(* Reports on the wide table whose predicates each have their own
+   density, from one run in a thousand to most runs, so the tail's
+   postings hold gaps of one varint byte and of two. *)
+let sparse_reports st ~start_id n =
+  let npreds = Array.length wide_pred_site in
+  let density = Array.init npreds (fun _ -> 10. ** -.Random.State.float st 3.0) in
+  Array.init n (fun i ->
+      let preds = List.filter (fun p -> Random.State.float st 1.0 < density.(p)) (List.init npreds Fun.id) in
+      let extra = List.filter (fun _ -> Random.State.float st 1.0 < 0.02) (List.init wide_nsites Fun.id) in
+      let sites = List.sort_uniq Int.compare (extra @ List.map (fun p -> wide_pred_site.(p)) preds) in
+      mk_report
+        ~outcome:(if Random.State.float st 1.0 < 0.3 then Report.Failure else Report.Success)
+        ~sites:(Array.of_list sites) ~preds:(Array.of_list preds) (start_id + i))
+
+(* The tail view is exactly the segment its prefix would make: for random
+   appends and snapshots taken at random tail lengths, each snapshot's
+   tail outcome bitmap and every predicate and site bitmap equal those of
+   [Segment.of_reports] over the reports appended before it — decoded
+   only after every later append has grown the buffers, and again for a
+   snapshot decoded at once. *)
+let qcheck_tail_view_is_prefix_segment =
+  QCheck2.Test.make ~name:"tail view = Segment.of_reports of its prefix, after later appends"
+    ~count:20
+    QCheck2.Gen.(pair (int_range 0 10_000) (list_size (int_range 1 6) (int_range 0 400)))
+    (fun (seed, batches) ->
+      with_temp_dir (fun tmp ->
+          let log = Filename.concat tmp "log" in
+          let idx_dir = Filename.concat tmp "idx" in
+          let nsites = wide_nsites and pred_site = wide_pred_site in
+          let npreds = Array.length pred_site in
+          let st = Random.State.make [| seed; 0x7a11 |] in
+          let base = sparse_reports st ~start_id:0 5 in
+          write_log ~dir:log ~meta:(dataset_of ~nsites ~pred_site [||]) base;
+          ignore (Index.build ~log ~dir:idx_dir ());
+          let idx = Index.open_ ~dir:idx_dir in
+          let live = ref [||] and snaps = ref [] in
+          List.iter
+            (fun n ->
+              let batch = sparse_reports st ~start_id:(5 + Array.length !live) n in
+              Array.iter (Index.append idx) batch;
+              live := Array.append !live batch;
+              snaps := (Array.length !live, Index.snapshot idx) :: !snaps)
+            batches;
+          let tail_matches (n, snap) =
+            let views = snap.Snapshot.views in
+            if n = 0 then Array.length views = Array.length idx.Index.segments
+            else
+              let v = views.(Array.length views - 1) in
+              let seg =
+                Segment.of_reports ~nsites ~npreds ~source_shard:0 ~start_off:0 ~end_off:0
+                  (Array.sub !live 0 n)
+              in
+              let failing = v.Snapshot.v_failing () in
+              v.Snapshot.v_nruns = n
+              && Bitset.length failing = n
+              && List.for_all (fun i -> Bitset.get failing i = Bitset.get seg.Segment.failing i)
+                   (List.init n Fun.id)
+              && Array.for_all Fun.id
+                   (Array.init npreds (fun p ->
+                        Rbitmap.to_positions (v.Snapshot.v_pred_bits p) = seg.Segment.pred_true.(p)))
+              && Array.for_all Fun.id
+                   (Array.init nsites (fun i ->
+                        Rbitmap.to_positions (v.Snapshot.v_site_bits i) = seg.Segment.site_obs.(i)))
           in
-          Alcotest.(check int) "tail bitmaps built exactly once" 1
-            (count_spans "index.tail_bits");
-          Alcotest.(check bool) "parallel first use = sequential" true (parallel = sequential)))
+          let now = (Array.length !live, Index.snapshot idx) in
+          tail_matches now && List.for_all tail_matches !snaps))
+
+(* The tail keeps postings, not reports: after 10,000 synthetic reports it
+   holds at most 20 words per report. *)
+let test_tail_memory_bound () =
+  with_temp_dir (fun tmp ->
+      let log = Filename.concat tmp "log" in
+      let idx_dir = Filename.concat tmp "idx" in
+      let nsites = Sbi_corpus.Synth.default_nsites and npreds = Sbi_corpus.Synth.default_npreds in
+      write_log ~dir:log ~meta:(Sbi_corpus.Synth.meta ~nsites ~npreds) [||];
+      ignore (Index.build ~log ~dir:idx_dir ());
+      let idx = Index.open_ ~dir:idx_dir in
+      let n = 10_000 in
+      for run_id = 0 to n - 1 do
+        Index.append idx
+          (Sbi_corpus.Synth.report ~nsites ~npreds ~seed:Sbi_corpus.Synth.default_seed ~run_id)
+      done;
+      let words = Obj.reachable_words (Obj.repr idx.Index.tail) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d words per report (at most 20)" (words / n))
+        true
+        (words <= 20 * n);
+      Alcotest.(check bool) "tail_bytes counts the buffers" true
+        (Index.tail_bytes idx > 0 && Index.tail_bytes idx <= words * (Sys.word_size / 8)))
 
 (* --- candidate-restricted rescoring --- *)
 
@@ -1129,7 +1219,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_interleaved_ingest_bit_identity;
     Alcotest.test_case "tail bitmaps built lazily, once per snapshot" `Quick
       test_tail_bits_lazy;
-    Alcotest.test_case "tail view first used from 4 domains builds once" `Quick
+    Alcotest.test_case "tail view first used from 4 domains = sequential" `Quick
       test_tail_view_concurrent_first_use;
     Alcotest.test_case "cold analysis loads only retained postings" `Quick
       test_cold_analysis_posting_loads;
@@ -1141,4 +1231,6 @@ let suite =
       test_seeding_rule_agrees;
     Alcotest.test_case "damaged or old-version segment files are counted corrupt" `Quick
       test_damaged_segment_files_counted;
+    QCheck_alcotest.to_alcotest qcheck_tail_view_is_prefix_segment;
+    Alcotest.test_case "tail holds at most 20 words per report" `Quick test_tail_memory_bound;
   ]

@@ -503,6 +503,39 @@ let test_par_collect_first_run () =
   Alcotest.(check bool) "offset runs identical" true (datasets_equal seq par);
   Alcotest.(check int) "run ids offset" 100 seq.Dataset.runs.(0).Report.run_id
 
+(* A run that raises: the exception reaches the caller whether the run is
+   in the caller's own block (block 0) or in a spawned domain's, the first
+   block's failure wins when several raise, and the calling domain is
+   left as it was — a following collect succeeds, and a run on it
+   allocates what it did before the failure. *)
+let test_par_collect_run_raises () =
+  let spec = crashy_spec () in
+  let failing_at bad =
+    { spec with
+      Collect.gen_input =
+        (fun i -> if List.mem i bad then failwith (Printf.sprintf "input %d" i) else spec.Collect.gen_input i) }
+  in
+  let run_words () =
+    let sampler = Sampler.create ~nsites:(Transform.num_sites spec.Collect.transform) spec.Collect.plan in
+    let w0 = Gc.minor_words () in
+    ignore (Collect.run_one spec ~sampler ~run_index:3);
+    Gc.minor_words () -. w0
+  in
+  ignore (run_words ());
+  let before = run_words () in
+  (* 30 runs on 3 domains: blocks [0, 10), [10, 20) and [20, 30) *)
+  List.iter
+    (fun (bad, expect) ->
+      match Par_collect.collect ~seed:14 ~domains:3 (failing_at bad) ~nruns:30 with
+      | _ -> Alcotest.failf "input %d raised, yet collect returned" expect
+      | exception Failure m ->
+          Alcotest.(check string) "the run's exception reaches the caller" (Printf.sprintf "input %d" expect) m)
+    [ ([ 2 ], 2); ([ 15 ], 15); ([ 29 ], 29); ([ 25; 4 ], 4); ([ 25; 12 ], 12) ];
+  Alcotest.(check bool) "a following collect succeeds" true
+    (datasets_equal (Collect.collect ~seed:14 spec ~nruns:30)
+       (Par_collect.collect ~seed:14 ~domains:3 spec ~nruns:30));
+  Alcotest.(check (float 0.)) "a run on the calling domain allocates as before" before (run_words ())
+
 (* --- atomic dataset save --- *)
 
 let test_atomic_save_no_droppings () =
@@ -543,4 +576,6 @@ let suite =
       test_codec_rejects_wide_varints;
     Alcotest.test_case "codec rejects repeated ids" `Quick test_codec_rejects_duplicate_ids;
     QCheck_alcotest.to_alcotest qcheck_codec_hostile_bytes;
+    Alcotest.test_case "parallel collection: a raising run reaches the caller" `Quick
+      test_par_collect_run_raises;
   ]

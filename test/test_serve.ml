@@ -1245,6 +1245,8 @@ let test_live_compaction ~acceptors () =
           batch ();
           Alcotest.(check int) "every acked report in the live tail" (List.length !acked)
             (stat_value c "tail_runs");
+          Alcotest.(check bool) "the tail's posting buffers are gauged" true
+            (stat_value c "tail_bytes" > 0);
           let ds =
             Dataset.of_tables ~nsites ~npreds ~pred_site
               (Array.append base_reports (Array.of_list (List.rev !acked)))
